@@ -1,12 +1,17 @@
 // Fault resilience: real SpaceTwist queries (Algorithm 1 over the wire
 // codec) through a seeded lossy link, swept across loss / duplication /
 // reorder rates. The table reports goodput (fraction of queries the retry
-// layer completed), the retry/reopen/stale-frame cost, and the virtual
-// time spent — all deterministic from (seed, FaultConfig), so rows are
-// byte-identical across runs. Expected shape: goodput stays at 1.0 well
-// past 10% per-frame fault rates (the retry budget absorbs them), while
-// retries grow roughly linearly with the rate; every completed query's
-// digest matches the fault-free reference at every rate.
+// layer completed), the faults injected, the retry/reopen/stale-frame
+// cost, and the virtual time spent — all deterministic from (seed,
+// FaultConfig), so rows are byte-identical across runs. Expected shape,
+// gated by tools/validate_telemetry_json.py over BENCH_fault.json:
+//  * goodput is 1.0 on every row through 20% per-frame fault rates;
+//  * duplicates cost no retries and no backoff: the extra copies arrive
+//    as stale frames, which the session drains by listening instead of
+//    resending;
+//  * retries stay within 2x the faults injected (a disconnect fails its
+//    own round trip and the re-open's);
+//  * every completed query's digest matches the fault-free reference.
 
 #include <cstdio>
 #include <vector>
@@ -101,12 +106,14 @@ void Run() {
     }
   }
 
-  eval::Table table({"fault", "rate", "goodput", "round.trips", "attempts",
-                     "retries", "reopens", "stale", "backoff.ms",
+  eval::Table table({"fault", "rate", "goodput", "faults", "round.trips",
+                     "attempts", "retries", "reopens", "stale", "backoff.ms",
                      "virtual.ms"});
   for (const Measurement& m : measurements) {
     table.AddRow(
         {m.fault, Fmt2(m.rate), StrFormat("%.3f", m.report.goodput()),
+         StrFormat("%llu",
+                   static_cast<unsigned long long>(m.report.faults.injected())),
          StrFormat("%llu",
                    static_cast<unsigned long long>(m.report.faults.round_trips)),
          StrFormat("%llu",
@@ -137,6 +144,7 @@ void Run() {
     json.KV("fault", m.fault);
     json.KV("rate", m.rate, 2);
     json.KV("goodput", m.report.goodput());
+    json.KV("faults_injected", m.report.faults.injected());
     json.KV("round_trips", m.report.faults.round_trips);
     json.KV("retries", m.report.retry.retries);
     json.KV("reopens", m.report.retry.reopens);

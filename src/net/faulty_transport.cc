@@ -117,6 +117,16 @@ void FaultyTransport::BeginDisconnect(Direction direction,
 Result<std::vector<uint8_t>> FaultyTransport::RoundTrip(
     const std::vector<uint8_t>& request_frame) {
   MutexLock lock(&mu_);
+  if (request_frame.empty()) {
+    // A listen: the next straggler, if any. It draws no fault and is not
+    // an op, so the schedule of sent frames depends only on (seed, config).
+    if (holdback_.empty()) {
+      return Status::DeadlineExceeded("no frame in flight");
+    }
+    std::vector<uint8_t> straggler = std::move(holdback_.front());
+    holdback_.pop_front();
+    return straggler;
+  }
   ++ops_;
   now_ns_ += config_.latency_ns;
   ++stats_.round_trips;

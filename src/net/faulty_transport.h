@@ -108,6 +108,11 @@ struct FaultStats {
   uint64_t corruptions = 0;
   uint64_t stalls = 0;
   uint64_t disconnects = 0;
+
+  /// Faults of every kind (the log's length).
+  uint64_t injected() const {
+    return drops + duplicates + reorders + corruptions + stalls + disconnects;
+  }
 };
 
 /// The lossy link. Typical use is one FaultyTransport per client, like one
@@ -127,6 +132,9 @@ class FaultyTransport : public FrameTransport {
   /// handle. Returns kDeadlineExceeded for lost/stalled frames and
   /// kIoError while disconnected; corrupted replies are returned as-is
   /// (the codec checksum turns them into kCorruption at decode time).
+  /// An empty frame is a listen (see FrameTransport): it pops the oldest
+  /// held-back frame, or returns kDeadlineExceeded when none is held; it
+  /// draws no fault, counts no round trip, and writes no log entry.
   /// Takes mu_ internally (no annotation: attribute placement on virtual
   /// overrides is compiler-picky; the guarded helpers below carry REQUIRES).
   Result<std::vector<uint8_t>> RoundTrip(

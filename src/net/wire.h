@@ -228,6 +228,14 @@ class FrameHandler {
 /// the server: kDeadlineExceeded (a frame was lost or stalled past the
 /// deadline) and kIoError (the connection dropped; in-flight frames are
 /// gone). Server-side errors still arrive as encoded ErrorReply frames.
+///
+/// An empty request frame is a *listen*: nothing is sent, and the call
+/// returns the next response frame already in flight on the link (a late,
+/// duplicated, or reordered reply), or kDeadlineExceeded when there is
+/// none. No valid request is empty (every frame has a 9-byte header), so
+/// decorators that forward RoundTrip forward listens unchanged. A client
+/// that reads a stale or corrupt frame listens before it resends, so one
+/// straggler costs one extra read instead of a retransmission.
 class FrameTransport {
  public:
   virtual ~FrameTransport() = default;
@@ -236,7 +244,8 @@ class FrameTransport {
       const std::vector<uint8_t>& request_frame) = 0;
 };
 
-/// The perfect link: every frame arrives intact, in order, exactly once.
+/// The perfect link: every frame arrives intact, in order, exactly once —
+/// so a listen never finds a frame in flight.
 class DirectTransport : public FrameTransport {
  public:
   /// Borrows `handler`, which must outlive the transport.
@@ -244,6 +253,9 @@ class DirectTransport : public FrameTransport {
 
   Result<std::vector<uint8_t>> RoundTrip(
       const std::vector<uint8_t>& request_frame) override {
+    if (request_frame.empty()) {
+      return Status::DeadlineExceeded("no frame in flight");
+    }
     return handler_->HandleFrame(request_frame);
   }
 

@@ -8,9 +8,10 @@ namespace spacetwist::service {
 
 namespace {
 
-/// Transport-level statuses worth another attempt: timeouts (lost or
-/// stalled frames) and connection resets. Anything else from the transport
-/// is a programming error and surfaces immediately.
+/// Transport-level statuses worth another attempt: timeouts (a lost or
+/// stalled frame, or a listen that found nothing in flight) and connection
+/// resets. Anything else from the transport is a programming error and
+/// surfaces immediately.
 bool TransportRetryable(const Status& status) {
   return status.IsDeadlineExceeded() || status.IsIoError();
 }
@@ -80,13 +81,40 @@ bool WireSession::Tick(Budget* budget) {
   return true;
 }
 
-Result<net::Response> WireSession::RoundTrip(const net::Request& request) {
-  const std::vector<uint8_t> frame = net::EncodeRequest(request);
+Result<net::Response> WireSession::Exchange(const net::Request& request,
+                                            Budget* budget,
+                                            const IsCurrentFn& is_current) {
+  std::vector<uint8_t> frame = net::EncodeRequest(request);
+  for (;;) {
+    bytes_sent_metric_->Add(frame.size());
+    SPACETWIST_ASSIGN_OR_RETURN(std::vector<uint8_t> reply,
+                                transport_->RoundTrip(frame));
+    bytes_received_metric_->Add(reply.size());
+    Result<net::Response> response = net::DecodeResponse(reply);
+    if (response.ok()) {
+      if (is_current(*response)) return response;
+      MarkStale();
+    } else if (!response.status().IsCorruption()) {
+      return response.status();
+    }
+    // A stale or corrupt frame arrived ahead of (or instead of) the reply:
+    // listen for the next frame in flight rather than resending.
+    if (budget->drained >= retry_.policy.max_attempts) {
+      return Status::DeadlineExceeded("drain budget exhausted");
+    }
+    ++budget->drained;
+    frame.clear();  // the empty frame is a listen
+  }
+}
+
+void WireSession::CloseStranded(uint64_t session_id) {
+  ++stats_.attempts;
+  round_trips_metric_->Add();
+  const std::vector<uint8_t> frame =
+      net::EncodeRequest(net::CloseRequest{session_id});
   bytes_sent_metric_->Add(frame.size());
-  SPACETWIST_ASSIGN_OR_RETURN(std::vector<uint8_t> reply,
-                              transport_->RoundTrip(frame));
-  bytes_received_metric_->Add(reply.size());
-  return net::DecodeResponse(reply);
+  const Result<std::vector<uint8_t>> reply = transport_->RoundTrip(frame);
+  if (reply.ok()) bytes_received_metric_->Add(reply->size());
 }
 
 Status WireSession::OpenSession(Budget* budget) {
@@ -95,6 +123,18 @@ Status WireSession::OpenSession(Budget* budget) {
   // Every attempt gets a fresh nonce; any of them identifies *this* open
   // (an earlier attempt's reply may arrive late and is equally valid).
   std::vector<uint64_t> nonces;
+  const auto is_current = [&nonces](const net::Response& response) {
+    if (const auto* ok = std::get_if<net::OpenOk>(&response)) {
+      return std::find(nonces.begin(), nonces.end(), ok->nonce) !=
+             nonces.end();
+    }
+    // Open errors carry no session id; an error echoing one is a stale
+    // reply to some earlier pull or close.
+    if (const auto* error = std::get_if<net::ErrorReply>(&response)) {
+      return error->session_id == 0;
+    }
+    return false;  // PacketReply/CloseOk
+  };
   while (Tick(budget)) {
     net::OpenRequest open;
     open.anchor = anchor_;
@@ -104,38 +144,21 @@ Status WireSession::OpenSession(Budget* budget) {
     open.trace_id = trace_id_;
     open.sampled = sampled_;
     nonces.push_back(open.nonce);
-    Result<net::Response> response = RoundTrip(open);
+    Result<net::Response> response = Exchange(open, budget, is_current);
     if (!response.ok()) {
-      if (TransportRetryable(response.status()) ||
-          response.status().IsCorruption()) {
-        continue;
-      }
+      if (TransportRetryable(response.status())) continue;
       return response.status();
     }
     if (const auto* ok = std::get_if<net::OpenOk>(&*response)) {
-      if (std::find(nonces.begin(), nonces.end(), ok->nonce) !=
-          nonces.end()) {
-        session_id_ = ok->session_id;
-        span.Note("attempts", budget->attempts);
-        return Status::OK();
-      }
-      MarkStale();  // OpenOk of some earlier query
-      continue;
+      session_id_ = ok->session_id;
+      span.Note("attempts", budget->attempts);
+      return Status::OK();
     }
-    if (const auto* error = std::get_if<net::ErrorReply>(&*response)) {
-      // Open errors carry no session id; an error echoing one is a stale
-      // reply to some earlier pull or close.
-      if (error->session_id != 0) {
-        MarkStale();
-        continue;
-      }
-      const Status status = net::ToStatus(*error);
-      if (status.IsInvalidArgument() || status.IsResourceExhausted()) {
-        return status;  // genuine rejection: bad params or backpressure
-      }
-      continue;  // transient server-side condition
+    const Status status = net::ToStatus(std::get<net::ErrorReply>(*response));
+    if (status.IsInvalidArgument() || status.IsResourceExhausted()) {
+      return status;  // genuine rejection: bad params or backpressure
     }
-    MarkStale();  // PacketReply/CloseOk: stale frames
+    // Transient server-side condition: try again.
   }
   return Status::DeadlineExceeded("open retry budget exhausted");
 }
@@ -181,40 +204,49 @@ Result<net::Packet> WireSession::NextPacket() {
   // deterministic) is discarded until the query's position is reached.
   uint64_t cursor = next_seq_;
   // Re-opens and accepted packets are progress and refill the attempt
-  // budget; only consecutive failures spend it.
-  const auto reopen = [this, &budget, &reopens, &cursor]() -> Status {
+  // budget; only consecutive failures spend it. After a disconnect the
+  // old server session is still open, so it is closed once, best effort.
+  const auto reopen = [this, &budget, &reopens,
+                       &cursor](bool disconnected) -> Status {
     if (++reopens > retry_.policy.max_reopens) {
       return Status::DeadlineExceeded("re-open budget exhausted");
     }
+    const uint64_t stranded = session_id_;
     SPACETWIST_RETURN_NOT_OK(OpenSession(&budget));
     ++stats_.reopens;
     reopens_metric_->Add();
     telemetry::Trace::EventOn(retry_.trace, "wire.reopen");
     cursor = 0;
     budget.attempts = 0;
+    if (disconnected) CloseStranded(stranded);
     return Status::OK();
+  };
+  const auto is_current = [this, &cursor](const net::Response& response) {
+    if (const auto* packet = std::get_if<net::PacketReply>(&response)) {
+      return packet->session_id == session_id_ && packet->seq == cursor;
+    }
+    if (const auto* error = std::get_if<net::ErrorReply>(&response)) {
+      return error->session_id == session_id_;
+    }
+    return false;  // OpenOk/CloseOk
   };
   while (Tick(&budget)) {
     net::PullRequest pull{session_id_, cursor};
     pull.trace_id = trace_id_;
     pull.sampled = sampled_;
-    Result<net::Response> response = RoundTrip(pull);
+    Result<net::Response> response = Exchange(pull, &budget, is_current);
     if (!response.ok()) {
       const Status status = response.status();
       if (status.IsIoError()) {
         // Connection reset: the server session may be fine, but our link
         // epoch is gone. Open a fresh session and resume.
-        SPACETWIST_RETURN_NOT_OK(reopen());
+        SPACETWIST_RETURN_NOT_OK(reopen(/*disconnected=*/true));
         continue;
       }
-      if (status.IsDeadlineExceeded() || status.IsCorruption()) continue;
+      if (status.IsDeadlineExceeded()) continue;
       return status;
     }
     if (auto* packet = std::get_if<net::PacketReply>(&*response)) {
-      if (packet->session_id != session_id_ || packet->seq != cursor) {
-        MarkStale();
-        continue;
-      }
       if (cursor < next_seq_) {
         // Resume fast-forward: already-consumed prefix. Piggybacked spans
         // are dropped with it — their work was already traced the first
@@ -231,29 +263,22 @@ Result<net::Packet> WireSession::NextPacket() {
       ++next_seq_;
       return std::move(packet->packet);
     }
-    if (const auto* error = std::get_if<net::ErrorReply>(&*response)) {
-      if (error->session_id != session_id_) {
-        MarkStale();
-        continue;
+    const Status status = net::ToStatus(std::get<net::ErrorReply>(*response));
+    if (status.IsExhausted()) {
+      if (cursor < next_seq_) {
+        // A deterministic stream cannot end earlier on replay.
+        return Status::Internal("server stream diverged during resume");
       }
-      const Status status = net::ToStatus(*error);
-      if (status.IsExhausted()) {
-        if (cursor < next_seq_) {
-          // A deterministic stream cannot end earlier on replay.
-          return Status::Internal("server stream diverged during resume");
-        }
-        return status;  // genuine end of stream
-      }
-      if (status.IsNotFound()) {
-        // Evicted server-side (e.g. idle past the TTL while the link was
-        // down): re-open and resume.
-        SPACETWIST_RETURN_NOT_OK(reopen());
-        continue;
-      }
-      if (status.IsInvalidArgument()) return status;  // protocol misuse
-      continue;  // transient server-side condition
+      return status;  // genuine end of stream
     }
-    MarkStale();  // OpenOk/CloseOk: stale frames
+    if (status.IsNotFound()) {
+      // Evicted server-side (e.g. idle past the TTL while the link was
+      // down): re-open and resume.
+      SPACETWIST_RETURN_NOT_OK(reopen(/*disconnected=*/false));
+      continue;
+    }
+    if (status.IsInvalidArgument()) return status;  // protocol misuse
+    // Transient server-side condition: try again.
   }
   return Status::DeadlineExceeded("pull retry budget exhausted");
 }
@@ -263,43 +288,37 @@ Status WireSession::Close() {
   telemetry::Trace::Span span =
       telemetry::Trace::SpanOn(retry_.trace, "wire.close");
   Budget budget;
+  const auto is_current = [this](const net::Response& response) {
+    if (const auto* ok = std::get_if<net::CloseOk>(&response)) {
+      return ok->session_id == session_id_;
+    }
+    if (const auto* error = std::get_if<net::ErrorReply>(&response)) {
+      return error->session_id == session_id_;
+    }
+    return false;  // OpenOk/PacketReply
+  };
   while (Tick(&budget)) {
     Result<net::Response> response =
-        RoundTrip(net::CloseRequest{session_id_});
+        Exchange(net::CloseRequest{session_id_}, &budget, is_current);
     if (!response.ok()) {
-      if (TransportRetryable(response.status()) ||
-          response.status().IsCorruption()) {
-        continue;
-      }
+      if (TransportRetryable(response.status())) continue;
       return response.status();
     }
     if (const auto* ok = std::get_if<net::CloseOk>(&*response)) {
-      if (ok->session_id != session_id_) {
-        MarkStale();
-        continue;
-      }
       if (retry_.trace != nullptr) {
         retry_.trace->Adopt(ok->server_spans);
       }
       closed_ = true;
       return Status::OK();
     }
-    if (const auto* error = std::get_if<net::ErrorReply>(&*response)) {
-      if (error->session_id != session_id_) {
-        MarkStale();
-        continue;
-      }
-      const Status status = net::ToStatus(*error);
-      if (status.IsNotFound()) {
-        // At-least-once close: an earlier attempt landed (its reply was
-        // lost) or the server already evicted the session.
-        closed_ = true;
-        return Status::OK();
-      }
-      if (status.IsInvalidArgument()) return status;
-      continue;
+    const Status status = net::ToStatus(std::get<net::ErrorReply>(*response));
+    if (status.IsNotFound()) {
+      // At-least-once close: an earlier attempt landed (its reply was
+      // lost) or the server already evicted the session.
+      closed_ = true;
+      return Status::OK();
     }
-    MarkStale();
+    if (status.IsInvalidArgument()) return status;
   }
   return Status::DeadlineExceeded("close retry budget exhausted");
 }

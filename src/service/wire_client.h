@@ -26,7 +26,8 @@ struct RetryPolicy {
   /// Consecutive failed round trips allowed per logical operation (one
   /// NextPacket, one Close, one Open); accepted progress — a packet
   /// consumed, a session re-opened — resets the count, so resuming a long
-  /// stream is never starved by its own length.
+  /// stream is never starved by its own length. Also caps the stale or
+  /// corrupt frames one operation drains by listening.
   size_t max_attempts = 16;
   /// Session re-opens allowed within one NextPacket call before the
   /// operation gives up with kDeadlineExceeded.
@@ -70,7 +71,7 @@ struct RetryConfig {
 /// What resilience cost: retransmissions, stale frames discarded, session
 /// re-opens, and total (virtual) backoff.
 struct RetryStats {
-  uint64_t attempts = 0;       ///< transport round trips issued
+  uint64_t attempts = 0;       ///< round trips issued (listens excluded)
   uint64_t retries = 0;        ///< round trips beyond the first of each op
   uint64_t reopens = 0;        ///< sessions re-opened (disconnect/eviction)
   uint64_t stale_replies = 0;  ///< frames rejected by nonce/session/seq echo
@@ -93,9 +94,13 @@ struct RetryStats {
 /// would execute against a remote deployment over a cellular link.
 ///
 /// Resilience semantics (docs/SERVICE.md §5):
-///  * Every operation retries transport timeouts (kDeadlineExceeded),
-///    detected corruption (kCorruption from the codec checksum), and stale
-///    frames, with bounded exponential backoff + jitter.
+///  * A stale frame (wrong nonce/session/seq echo) or a corrupt one
+///    (kCorruption from the codec checksum) is discarded and the session
+///    listens for the next frame in flight instead of resending: at most
+///    RetryPolicy::max_attempts such drains per operation, none charged.
+///  * Every operation retries transport timeouts (kDeadlineExceeded,
+///    including a listen that found nothing), disconnects, and transient
+///    server errors, with bounded exponential backoff + jitter.
 ///  * NextPacket pulls by explicit sequence number; a retry after a lost
 ///    reply replays the same packet from the server's cache, so no data is
 ///    skipped and no packet is double-counted.
@@ -103,7 +108,8 @@ struct RetryStats {
 ///    a clean re-open: a fresh session for the same anchor is opened and
 ///    fast-forwarded to the current sequence number (the granular stream
 ///    is deterministic, so the replayed prefix is byte-identical and is
-///    discarded). The query then resumes exactly where it stopped.
+///    discarded). The query then resumes exactly where it stopped. After a
+///    disconnect the abandoned server session is closed, best effort.
 ///  * When the retry budget runs out the operation fails with
 ///    kDeadlineExceeded; genuine server rejections (kInvalidArgument,
 ///    kResourceExhausted) and end-of-stream (kExhausted) pass through.
@@ -142,7 +148,14 @@ class WireSession : public net::PacketTransport {
   /// Per-operation retry budget.
   struct Budget {
     size_t attempts = 0;
+    /// Frames listened for after a stale or corrupt one; capped at
+    /// RetryPolicy::max_attempts per operation.
+    size_t drained = 0;
   };
+
+  /// True for a reply that answers the operation in progress (echoes its
+  /// nonce, session, or sequence number); anything else is stale.
+  using IsCurrentFn = std::function<bool(const net::Response&)>;
 
   WireSession(net::FrameTransport* transport,
               std::unique_ptr<net::DirectTransport> owned,
@@ -153,10 +166,19 @@ class WireSession : public net::PacketTransport {
   /// the budget is spent.
   bool Tick(Budget* budget);
 
-  /// One encode -> transport -> decode round trip. Transport failures come
-  /// back as their Status; decodable replies (including ErrorReply) come
-  /// back as the Response.
-  Result<net::Response> RoundTrip(const net::Request& request);
+  /// Sends `request` once, then drains: each stale or corrupt frame read
+  /// is discarded and followed by a listen (an empty frame, see
+  /// net::FrameTransport), never by a resend, so stragglers cost no
+  /// attempt and no backoff. Returns the first current reply, or the
+  /// transport's Status — kDeadlineExceeded when a listen finds nothing in
+  /// flight or the drain budget is spent.
+  Result<net::Response> Exchange(const net::Request& request, Budget* budget,
+                                 const IsCurrentFn& is_current);
+
+  /// One best-effort, unretried CloseRequest for the session a disconnect
+  /// stranded (counted as a round trip). Whatever comes back is ignored;
+  /// a late reply is drained as stale by a later exchange.
+  void CloseStranded(uint64_t session_id);
 
   /// (Re-)opens a server session for the anchor, drawing on `budget`.
   /// Sets session_id_ on success.

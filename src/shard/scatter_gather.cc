@@ -67,10 +67,10 @@ Status ScatterGatherStream::Fill(ShardState* s, size_t shard_index) {
     telemetry::Trace::Span open =
         telemetry::Trace::SpanOn(trace_, "router.shard.open");
     open.Note("shard", shard_index);
-    // Shard streams run plain INN (epsilon == 0): the global cell cap is
-    // the router's job — see the class comment.
+    // Shard streams pre-filter with the query's own cell cap; the router
+    // still applies the global one — see the class comment.
     SPACETWIST_ASSIGN_OR_RETURN(s->session_id,
-                                engine->Open(anchor_, /*epsilon=*/0.0, k_));
+                                engine->Open(anchor_, epsilon_, k_));
     s->opened = true;
     ++stats_.fanout;
     opens_metric_->Add();

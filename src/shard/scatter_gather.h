@@ -32,12 +32,23 @@ struct StreamStats {
 /// a ShardRouter hands to its fronting ServiceEngine, so one query against
 /// the fleet is indistinguishable from one query against a single server.
 ///
-/// Each shard engine runs a *plain* INN stream (epsilon == 0): the global
-/// granular cell cap cannot be enforced shard-locally, because a grid cell
-/// split across two shards would report up to k points from each. Instead
-/// the shards deliver every point in exact (distance, id) order and the
-/// router applies Algorithm 2's cell filter — identical rule, identical
-/// state evolution, hence byte-identical output to GranularInnStream.
+/// Each shard engine runs the query's own granular stream (same epsilon
+/// and k), and the router applies Algorithm 2's cell filter once more over
+/// the merge — identical rule, identical state evolution, hence
+/// byte-identical output to GranularInnStream. The shard-local filter is
+/// only a pre-filter: a grid cell split across two shards can pass up to k
+/// points from each, so the global cap stays the router's job. It drops
+/// nothing the router would report:
+///  * a shard admits the first k points of each lambda-cell among its own
+///    points, in (distance, id) order — a superset of the shard's points
+///    the global filter admits (fewer predecessors, never more);
+///  * every point a shard drops follows k same-cell points of that shard,
+///    so it comes after the first k points of its cell in global order;
+///  * hence the merged, pre-filtered stream still holds the first k points
+///    of every cell, in order, and the router's filter admits exactly
+///    those. Fan-out is unchanged too: the reported points are the same,
+///    and a shard is opened iff its rectangle's mindist does not exceed
+///    the last reported distance (or the stream runs dry).
 ///
 /// Laziness is what keeps the fan-out below N:
 ///  * a shard session is opened only when its partition rectangle's mindist

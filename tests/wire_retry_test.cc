@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -26,27 +27,40 @@ namespace {
 
 /// A FrameTransport whose behaviour is a test-provided hook; the hook sees
 /// the request frame, the 0-based round-trip index, and the wrapped
-/// handler, and returns whatever the "network" should.
+/// handler, and returns whatever the "network" should. Listens (empty
+/// frames) never reach the hook or the handler: they go to the optional
+/// listen hook, and by default find nothing in flight.
 class ScriptedTransport : public net::FrameTransport {
  public:
   using Hook = std::function<Result<std::vector<uint8_t>>(
       const std::vector<uint8_t>& frame, size_t index,
       net::FrameHandler* inner)>;
+  using ListenHook = std::function<Result<std::vector<uint8_t>>()>;
 
-  ScriptedTransport(net::FrameHandler* inner, Hook hook)
-      : inner_(inner), hook_(std::move(hook)) {}
+  ScriptedTransport(net::FrameHandler* inner, Hook hook,
+                    ListenHook listen = nullptr)
+      : inner_(inner), hook_(std::move(hook)), listen_(std::move(listen)) {}
 
   Result<std::vector<uint8_t>> RoundTrip(
       const std::vector<uint8_t>& request_frame) override {
+    if (request_frame.empty()) {
+      ++listens_;
+      if (listen_ != nullptr) return listen_();
+      return Status::DeadlineExceeded("no frame in flight");
+    }
     return hook_(request_frame, index_++, inner_);
   }
 
+  /// Frames sent (listens excluded).
   size_t calls() const { return index_; }
+  size_t listens() const { return listens_; }
 
  private:
   net::FrameHandler* inner_;
   Hook hook_;
+  ListenHook listen_;
   size_t index_ = 0;
+  size_t listens_ = 0;
 };
 
 net::MessageType TypeOf(const std::vector<uint8_t>& frame) {
@@ -273,6 +287,147 @@ TEST_F(WireRetryTest, StalePacketReplyIsRejectedBySessionAndSeq) {
   }
   EXPECT_EQ((*session)->retry_stats().stale_replies, 1u);
   EXPECT_TRUE((*session)->Close().ok());
+}
+
+TEST_F(WireRetryTest, DuplicatedReplyInFlightCostsNoRetries) {
+  const std::vector<std::vector<uint32_t>> reference =
+      ReferencePackets(kAnchor, 6);
+
+  // A FIFO link: the first pull's reply is duplicated, and from then on
+  // every reply queues behind whatever is still in flight — exactly how
+  // net::FaultyTransport delivers stragglers. Resending after the stale
+  // copy would leave the link one frame behind for every later pull.
+  std::deque<std::vector<uint8_t>> in_flight;
+  bool duplicated = false;
+  ScriptedTransport transport(
+      engine_.get(),
+      [&](const std::vector<uint8_t>& frame, size_t,
+          net::FrameHandler* inner) -> Result<std::vector<uint8_t>> {
+        std::vector<uint8_t> reply = inner->HandleFrame(frame);
+        if (!duplicated && TypeOf(frame) == net::MessageType::kPullRequest) {
+          duplicated = true;
+          in_flight.push_back(reply);  // the copy straggles in later
+        }
+        if (in_flight.empty()) return reply;
+        in_flight.push_back(std::move(reply));
+        std::vector<uint8_t> front = std::move(in_flight.front());
+        in_flight.pop_front();
+        return front;
+      },
+      [&in_flight]() -> Result<std::vector<uint8_t>> {
+        if (in_flight.empty()) return Status::DeadlineExceeded("silent");
+        std::vector<uint8_t> front = std::move(in_flight.front());
+        in_flight.pop_front();
+        return front;
+      });
+  std::vector<uint64_t> slept;
+  RetryConfig retry;
+  retry.sleep = [&slept](uint64_t ns) { slept.push_back(ns); };
+  auto session = WireSession::Open(&transport, kAnchor, 0.0, 1, retry);
+  ASSERT_TRUE(session.ok());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    auto packet = (*session)->NextPacket();
+    ASSERT_TRUE(packet.ok()) << packet.status().ToString();
+    EXPECT_EQ(Ids(*packet), reference[i]) << "packet " << i;
+  }
+  const RetryStats& stats = (*session)->retry_stats();
+  EXPECT_EQ(stats.stale_replies, 1u);  // the one copy, drained once
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(stats.backoff_ns, 0u);
+  EXPECT_TRUE(slept.empty());
+  EXPECT_EQ(transport.listens(), 1u);
+  EXPECT_EQ(stats.attempts, 1u + reference.size());  // open + one per pull
+  EXPECT_TRUE(in_flight.empty());  // the link is back in step
+  EXPECT_TRUE((*session)->Close().ok());
+}
+
+TEST_F(WireRetryTest, StaleFrameThenEmptyListenChargesOneRetry) {
+  bool injected = false;
+  ScriptedTransport transport(
+      engine_.get(),
+      [&injected](const std::vector<uint8_t>& frame, size_t,
+                  net::FrameHandler* inner) -> Result<std::vector<uint8_t>> {
+        if (!injected && TypeOf(frame) == net::MessageType::kPullRequest) {
+          injected = true;
+          // The pull is lost; a straggler of a dead session arrives instead.
+          return net::EncodeResponse(net::PacketReply{
+              /*session_id=*/9999, /*seq=*/0, net::Packet{}, {}});
+        }
+        return inner->HandleFrame(frame);
+      });
+  std::vector<uint64_t> slept;
+  RetryConfig retry;
+  retry.sleep = [&slept](uint64_t ns) { slept.push_back(ns); };
+  auto session = WireSession::Open(&transport, kAnchor, 0.0, 1, retry);
+  ASSERT_TRUE(session.ok());
+  auto packet = (*session)->NextPacket();
+  ASSERT_TRUE(packet.ok()) << packet.status().ToString();
+  // Stale frame -> listen (free) -> nothing in flight -> one charged
+  // resend, with exactly one backoff.
+  const RetryStats& stats = (*session)->retry_stats();
+  EXPECT_EQ(transport.listens(), 1u);
+  EXPECT_EQ(stats.stale_replies, 1u);
+  EXPECT_EQ(stats.retries, 1u);
+  ASSERT_EQ(slept.size(), 1u);
+  EXPECT_EQ(slept[0], stats.backoff_ns);
+  EXPECT_EQ(transport.calls(), 3u);  // open, lost pull, resent pull
+  EXPECT_TRUE((*session)->Close().ok());
+}
+
+TEST_F(WireRetryTest, EndlessStaleFramesFailAfterBoundedWork) {
+  bool opened = false;
+  const std::vector<uint8_t> stale =
+      net::EncodeResponse(net::CloseOk{/*session_id=*/4242, {}});
+  ScriptedTransport transport(
+      engine_.get(),
+      [&](const std::vector<uint8_t>& frame, size_t,
+          net::FrameHandler* inner) -> Result<std::vector<uint8_t>> {
+        if (!opened) {
+          opened = true;
+          return inner->HandleFrame(frame);
+        }
+        return stale;
+      },
+      [&stale]() -> Result<std::vector<uint8_t>> { return stale; });
+  RetryConfig retry;
+  retry.policy.max_attempts = 5;
+  auto session = WireSession::Open(&transport, kAnchor, 0.0, 1, retry);
+  ASSERT_TRUE(session.ok());
+  auto packet = (*session)->NextPacket();
+  EXPECT_TRUE(packet.status().IsDeadlineExceeded())
+      << packet.status().ToString();
+  // max_attempts sends for the pull, and at most max_attempts drains.
+  EXPECT_EQ(transport.calls(), 1u + 5u);
+  EXPECT_EQ(transport.listens(), 5u);
+  EXPECT_EQ((*session)->retry_stats().stale_replies, 5u + 5u);
+}
+
+TEST_F(WireRetryTest, DisconnectClosesTheStrandedSession) {
+  bool injected = false;
+  size_t pulls = 0;
+  ScriptedTransport transport(
+      engine_.get(),
+      [&](const std::vector<uint8_t>& frame, size_t,
+          net::FrameHandler* inner) -> Result<std::vector<uint8_t>> {
+        if (TypeOf(frame) == net::MessageType::kPullRequest &&
+            ++pulls == 3 && !injected) {
+          injected = true;
+          return Status::IoError("connection reset");
+        }
+        return inner->HandleFrame(frame);
+      });
+  auto session = WireSession::Open(&transport, kAnchor, 0.0, 1);
+  ASSERT_TRUE(session.ok());
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE((*session)->NextPacket().ok());
+  }
+  EXPECT_EQ((*session)->retry_stats().reopens, 1u);
+  EXPECT_EQ(engine_->metrics().sessions_opened, 2u);
+  EXPECT_TRUE((*session)->Close().ok());
+  // Both the session the disconnect stranded and the re-opened one are
+  // closed: nothing is left for the idle sweep.
+  EXPECT_EQ(engine_->metrics().sessions_closed, 2u);
+  EXPECT_EQ(engine_->open_sessions(), 0u);
 }
 
 TEST_F(WireRetryTest, CloseIsAtLeastOnce) {

@@ -38,6 +38,11 @@ Checks every document passed on the command line:
   reference at low load); a quiet watchdog below the knee, at least one
   trip at the overload point, and a queue-delay p99 that rises across the
   overload point's own windows (the knee forming over time);
+* fault_resilience — the fault bench (bench_fault_resilience's
+  BENCH_fault.json, marked by "bench": "fault_resilience") must hold the
+  expected shape its header states: goodput 1.0 on every row through a
+  20% fault rate, duplicate rows free of retries and backoff (stale frames
+  are drained, not resent), and retries within 2x the faults injected;
 * spacetwist.timeseries.v1 — a windowed time-series export
   (TimeSeriesCollector via `serve-bench --timeseries`, or embedded in
   BENCH_openloop.json results) must carry contiguous per-interval windows
@@ -364,6 +369,70 @@ def validate_memidx_document(document, path):
             if abs(speedup - ratio) > 0.05 + 1e-9:
                 error(path, f"speedup {speedup} does not match measured "
                       f"ns_per_query ratio {ratio:.3f}")
+
+
+FAULT_BENCH = "fault_resilience"
+# Rates up to this must keep every query: the retry budget absorbs them.
+FAULT_FULL_GOODPUT_RATE = 0.20
+# A disconnect fails its own round trip and the re-open's; every other
+# fault costs at most one charged retry.
+FAULT_RETRIES_PER_FAULT = 2
+
+
+def validate_fault_document(document, path):
+    """A fault_resilience export (bench_fault_resilience's BENCH_fault.json).
+
+    Gates the claims of the bench header on every row: full goodput through
+    a 20% fault rate, no retries or backoff for duplicates, and a retry cost
+    bounded by the faults actually injected. The embedded telemetry section
+    is validated by the caller's walk.
+    """
+    results = document.get("results")
+    if not isinstance(results, list) or not results:
+        error(path, "fault document needs a non-empty results array")
+        return
+    for i, entry in enumerate(results):
+        entry_path = f"{path}.results[{i}]"
+        if not isinstance(entry, dict):
+            error(entry_path, "result entry must be an object")
+            continue
+        if not isinstance(entry.get("fault"), str) or not entry["fault"]:
+            error(entry_path, "fault must be a non-empty string")
+            continue
+        rate = entry.get("rate")
+        if not is_number(rate) or not 0.0 <= rate <= 1.0:
+            error(entry_path, "rate must be a number in [0, 1]")
+            continue
+        for key in ("faults_injected", "round_trips", "retries", "reopens",
+                    "stale_replies"):
+            if not is_int(entry.get(key)) or entry[key] < 0:
+                error(entry_path, f"{key} must be a non-negative integer")
+        for key in ("goodput", "backoff_ms"):
+            if not is_number(entry.get(key)) or entry[key] < 0:
+                error(entry_path, f"{key} must be a non-negative number")
+        fault = entry["fault"]
+        goodput = entry.get("goodput")
+        if (rate <= FAULT_FULL_GOODPUT_RATE + 1e-9 and is_number(goodput)
+                and goodput != 1.0):
+            error(entry_path, f"{fault} at rate {rate}: goodput {goodput} "
+                  "below 1.0 (every query must survive rates up to "
+                  f"{FAULT_FULL_GOODPUT_RATE})")
+        retries = entry.get("retries")
+        if fault == "dup":
+            if is_int(retries) and retries != 0:
+                error(entry_path, f"dup at rate {rate}: {retries} retries "
+                      "(duplicates must be drained as stale frames, not "
+                      "resent)")
+            if is_number(entry.get("backoff_ms")) and entry["backoff_ms"] != 0:
+                error(entry_path, f"dup at rate {rate}: backoff_ms "
+                      f"{entry['backoff_ms']} (duplicates must cost no "
+                      "backoff)")
+        injected = entry.get("faults_injected")
+        if (is_int(retries) and is_int(injected)
+                and retries > FAULT_RETRIES_PER_FAULT * injected):
+            error(entry_path, f"{fault} at rate {rate}: {retries} retries "
+                  f"exceed {FAULT_RETRIES_PER_FAULT}x the {injected} faults "
+                  "injected")
 
 
 def validate_window_histogram(window, path):
@@ -740,6 +809,9 @@ def validate_file(filename):
         # Likewise: per-point latency / queue-delay histograms and the
         # embedded telemetry snapshot are picked up by the walk below.
         validate_openloop_document(document, filename)
+    if isinstance(document, dict) and document.get("bench") == FAULT_BENCH:
+        # Likewise: the embedded telemetry snapshot is picked up below.
+        validate_fault_document(document, filename)
     found = []
     walk(document, filename, found)
     # A telemetry artifact with nothing telemetry-shaped in it is a schema

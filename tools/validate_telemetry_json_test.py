@@ -103,6 +103,27 @@ GOOD_MEMIDX = {
     "speedup": 5.2,
 }
 
+GOOD_FAULT = {
+    "bench": "fault_resilience",
+    "clients": 64,
+    "queries_per_client": 8,
+    "results": [
+        {"fault": "drop", "rate": 0.0, "goodput": 1.0, "faults_injected": 0,
+         "round_trips": 3047, "retries": 0, "reopens": 0,
+         "stale_replies": 0, "backoff_ms": 0.0},
+        {"fault": "dup", "rate": 0.2, "goodput": 1.0,
+         "faults_injected": 1204, "round_trips": 3047, "retries": 0,
+         "reopens": 0, "stale_replies": 1167, "backoff_ms": 0.0},
+        {"fault": "mixed", "rate": 0.2, "goodput": 1.0,
+         "faults_injected": 6121, "round_trips": 8292, "retries": 4468,
+         "reopens": 224, "stale_replies": 1434, "backoff_ms": 47858.4},
+        {"fault": "mixed", "rate": 0.5, "goodput": 0.61,
+         "faults_injected": 9000, "round_trips": 12000, "retries": 9500,
+         "reopens": 400, "stale_replies": 2000, "backoff_ms": 90000.0},
+    ],
+    "telemetry": copy.deepcopy(GOOD_TELEMETRY),
+}
+
 _HIST = GOOD_TELEMETRY["histograms"]["eval.load.latency_ns"]
 
 _SECOND = 1000000000
@@ -478,6 +499,45 @@ def main():
                    "eval.arrival.queue_delay_ns",
                    _queue_window(99000000.0))),
         "did not rise across the overload point")
+
+    # --- fault_resilience negatives --------------------------------------
+    expect_ok("good fault document", GOOD_FAULT)
+    expect_error(
+        "fault empty results",
+        broken(GOOD_FAULT, lambda d: d.__setitem__("results", [])),
+        "non-empty results")
+    expect_error(
+        "fault goodput below 1.0 at 20%",
+        broken(GOOD_FAULT,
+               lambda d: d["results"][2].__setitem__("goodput", 0.521)),
+        "below 1.0")
+    expect_error(
+        "fault retries on a dup row",
+        broken(GOOD_FAULT,
+               lambda d: d["results"][1].__setitem__("retries", 3350)),
+        "must be drained as stale frames")
+    expect_error(
+        "fault backoff on a dup row",
+        broken(GOOD_FAULT,
+               lambda d: d["results"][1].__setitem__("backoff_ms", 13137.4)),
+        "must cost no backoff")
+    expect_error(
+        "fault retries beyond 2x faults",
+        broken(GOOD_FAULT,
+               lambda d: d["results"][2].__setitem__("retries", 12243)),
+        "exceed 2x")
+    expect_error(
+        "fault missing faults_injected",
+        broken(GOOD_FAULT, lambda d: d["results"][0].pop("faults_injected")),
+        "faults_injected must be a non-negative integer")
+    expect_error(
+        "fault rate out of range",
+        broken(GOOD_FAULT, lambda d: d["results"][0].__setitem__("rate", 2)),
+        "rate must be a number in [0, 1]")
+    expect_error(
+        "fault missing telemetry snapshot",
+        broken(GOOD_FAULT, lambda d: d.pop("telemetry")),
+        "no telemetry section")
 
     # --- timeseries.v1 negatives -----------------------------------------
     expect_ok("good timeseries document", GOOD_TIMESERIES)
