@@ -10,10 +10,10 @@
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "core/spacetwist_client.h"
-#include "eval/metrics.h"
 #include "eval/table.h"
 #include "privacy/observation.h"
 #include "privacy/region.h"
+#include "telemetry/metric.h"
 
 namespace spacetwist::bench {
 namespace {
@@ -30,7 +30,7 @@ void Run() {
       {"beta", "packets", "points", "area(km^2)", "privacy(m)"});
   for (const size_t beta : betas) {
     Rng rng(kRunSeed);
-    eval::Accumulator packets, points, area, privacy;
+    telemetry::Accumulator packets, points, area, privacy;
     for (const geom::Point& q : queries) {
       core::SpaceTwistClient client(server.get());
       core::QueryParams params;

@@ -11,10 +11,10 @@
 #include "bench/bench_util.h"
 #include "core/anchor.h"
 #include "core/spacetwist_client.h"
-#include "eval/metrics.h"
 #include "eval/table.h"
 #include "net/channel.h"
 #include "server/precomputed_granular.h"
+#include "telemetry/metric.h"
 
 namespace spacetwist::bench {
 namespace {
@@ -44,7 +44,7 @@ void Run() {
     auto index = server::PrecomputedGranularIndex::Build(ds, eps, 1)
                      .MoveValueOrDie();
     Rng rng(kRunSeed);
-    eval::Accumulator pre_packets, pre_reads;
+    telemetry::Accumulator pre_packets, pre_reads;
     for (const geom::Point& q : queries) {
       Rng query_rng = rng.Fork();
       const geom::Point anchor =

@@ -12,9 +12,9 @@
 #include "baselines/dummy_baseline.h"
 #include "baselines/hilbert_baseline.h"
 #include "bench/bench_util.h"
-#include "eval/metrics.h"
 #include "eval/runner.h"
 #include "eval/table.h"
+#include "telemetry/metric.h"
 
 namespace spacetwist::bench {
 namespace {
@@ -52,7 +52,7 @@ void Run() {
   {
     baselines::DummyLocationClient dummy(server.get(), net::PacketConfig());
     Rng rng(kRunSeed);
-    eval::Accumulator packets;
+    telemetry::Accumulator packets;
     const size_t dummies = 9;
     for (const geom::Point& q : queries) {
       Rng query_rng = rng.Fork();
@@ -65,7 +65,7 @@ void Run() {
   }
   for (const int curves : {1, 2}) {
     baselines::HilbertKnnClient hilbert(ds, curves, 12, 777);
-    eval::Accumulator err, packets;
+    telemetry::Accumulator err, packets;
     for (const geom::Point& q : queries) {
       auto truth = server->ExactKnn(q, k);
       SPACETWIST_CHECK(truth.ok());

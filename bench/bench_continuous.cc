@@ -11,8 +11,8 @@
 
 #include "bench/bench_util.h"
 #include "core/continuous.h"
-#include "eval/metrics.h"
 #include "eval/table.h"
+#include "telemetry/metric.h"
 
 namespace spacetwist::bench {
 namespace {
@@ -29,7 +29,7 @@ void Run() {
                      "max err(m)", "naive queries"});
   for (const double session_eps : {300.0, 600.0, 1200.0}) {
     Rng rng(kRunSeed);
-    eval::Accumulator server_queries, packets, max_err;
+    telemetry::Accumulator server_queries, packets, max_err;
     uint64_t updates_total = 0;
     for (size_t t = 0; t < trajectories; ++t) {
       core::ContinuousKnnSession::Options options;

@@ -18,7 +18,7 @@
 
 #include "bench/bench_util.h"
 #include "common/logging.h"
-#include "eval/fault_sweep.h"
+#include "eval/load_generator.h"
 #include "eval/table.h"
 #include "service/service_engine.h"
 
@@ -28,18 +28,8 @@ namespace {
 struct Measurement {
   const char* fault = "";
   double rate = 0.0;
-  eval::FaultRunReport report;
+  eval::LoadReport report;
 };
-
-eval::FaultRunOptions BaseOptions() {
-  eval::FaultRunOptions options;
-  options.load.num_clients = eval::ScaledCount(64, 8);
-  options.load.queries_per_client = eval::ScaledCount(8, 4);
-  options.load.seed = kRunSeed;
-  options.load.params.k = 4;
-  options.load.params.anchor_distance = 500;
-  return options;
-}
 
 net::FaultRates MixedRates(double rate) {
   net::FaultRates rates;
@@ -61,9 +51,23 @@ void Run() {
   auto server = server::LbsServer::Build(ds, rtree_options);
   SPACETWIST_CHECK(server.ok()) << server.status().ToString();
 
-  const eval::FaultRunOptions base = BaseOptions();
-  auto reference =
-      eval::RunReferencePerQueryDigests(server->get(), base.load);
+  const size_t num_clients = eval::ScaledCount(64, 8);
+  const size_t queries_per_client = eval::ScaledCount(8, 4);
+  // RunLoad's own eval.* instruments (a real-clock latency histogram among
+  // them) stay out of the artifact's telemetry snapshot.
+  telemetry::MetricRegistry load_registry;
+  eval::LoadOptions base;
+  // One client thread: the clients run round-robin in the same order on
+  // every regeneration, so the shared engine's buffer pool and session
+  // table, and with them the embedded telemetry, are byte-stable too.
+  base.worker_threads = 1;
+  base.registry = &load_registry;
+  base.params.k = 4;
+  base.params.anchor_distance = 500;
+  const eval::Schedule schedule = eval::BuildClosedLoopWorkload(
+      server->get()->domain(), base.params, num_clients, queries_per_client,
+      kRunSeed);
+  auto reference = eval::RunReference(server->get(), schedule, base.params);
   SPACETWIST_CHECK(reference.ok()) << reference.status().ToString();
 
   const std::vector<double> rates = {0.0, 0.02, 0.05, 0.10, 0.20};
@@ -85,22 +89,21 @@ void Run() {
     for (const double rate : rates) {
       // The fault-free baseline row is identical for every sweep; print once.
       if (rate == 0.0 && s != 0) continue;
-      eval::FaultRunOptions options = base;
-      options.fault.uplink = sweep.rates_for(rate);
-      options.fault.downlink = sweep.rates_for(rate);
+      eval::LoadOptions options = base;
+      options.fault.emplace();
+      options.fault->uplink = sweep.rates_for(rate);
+      options.fault->downlink = sweep.rates_for(rate);
       service::ServiceEngine engine(server->get());
-      auto report =
-          eval::RunFaultedWorkload(&engine, server->get()->domain(), options);
+      auto report = eval::RunLoad(&engine, schedule, options);
       SPACETWIST_CHECK(report.ok()) << report.status().ToString();
       // Correctness gate: every completed query matches the fault-free
       // digest — the bench never trades answers for goodput.
-      for (size_t c = 0; c < report->digests.size(); ++c) {
-        for (size_t q = 0; q < report->digests[c].size(); ++q) {
-          if (!report->succeeded[c][q]) continue;
-          SPACETWIST_CHECK(report->digests[c][q] == (*reference)[c][q])
-              << sweep.name << " rate " << rate << " client " << c
-              << " query " << q << ": digest diverged";
-        }
+      for (size_t i = 0; i < report->digests.size(); ++i) {
+        if (!report->succeeded[i]) continue;
+        SPACETWIST_CHECK(report->digests[i] == (*reference)[i])
+            << sweep.name << " rate " << rate << " client "
+            << schedule.arrivals[i].user << " query " << i
+            << ": digest diverged";
       }
       measurements.push_back({sweep.name, rate, std::move(*report)});
     }
@@ -130,14 +133,13 @@ void Run() {
   table.Print(std::cout);
   std::printf("clients=%zu queries/client=%zu; every completed query's "
               "digest is byte-identical to the fault-free reference\n",
-              base.load.num_clients, base.load.queries_per_client);
+              num_clients, queries_per_client);
 
   telemetry::JsonWriter json;
   json.BeginObject();
   json.KV("bench", "fault_resilience");
-  json.KV("clients", static_cast<uint64_t>(base.load.num_clients));
-  json.KV("queries_per_client",
-          static_cast<uint64_t>(base.load.queries_per_client));
+  json.KV("clients", static_cast<uint64_t>(num_clients));
+  json.KV("queries_per_client", static_cast<uint64_t>(queries_per_client));
   json.Key("results").BeginArray();
   for (const Measurement& m : measurements) {
     json.BeginObject();

@@ -7,12 +7,12 @@
 // (the backlog grows without bound) while goodput flattens at capacity.
 // Expected shape: p99 at the highest offered load >= 5x the p99 at the
 // lowest (SPACETWIST_CHECK'd), goodput ~= offered below the knee and
-// ~= capacity above it, and at low load the per-user digests are
+// ~= capacity above it, and at low load the per-query digests are
 // byte-identical to the single-threaded library reference.
 //
-// Runs under kVirtual pacing (arrival_process_test pins its determinism):
+// Runs under kModeled pacing (arrival_process_test pins its determinism):
 // queries execute for real through the event engine, while latency and
-// queueing delay come from the M/D/c-style model in eval/open_loop.h, so
+// queueing delay come from the M/D/c model in eval/load_generator.h, so
 // the artifact is byte-stable across runs.
 
 #include <cstdio>
@@ -20,7 +20,7 @@
 
 #include "bench/bench_util.h"
 #include "common/logging.h"
-#include "eval/open_loop.h"
+#include "eval/load_generator.h"
 #include "eval/table.h"
 #include "service/service_engine.h"
 #include "telemetry/clock.h"
@@ -31,7 +31,7 @@ namespace {
 
 struct Measurement {
   double offered_qps = 0;
-  eval::OpenLoopReport report;
+  eval::LoadReport report;
 };
 
 void Run() {
@@ -43,16 +43,23 @@ void Run() {
   auto server = server::LbsServer::Build(ds, rtree_options);
   SPACETWIST_CHECK(server.ok()) << server.status().ToString();
 
-  eval::OpenLoopOptions base;
-  base.arrival.num_users = eval::ScaledCount(64, 8);
-  base.arrival.total_arrivals = eval::ScaledCount(1500, 100);
-  base.arrival.zipf_s = 1.0;
-  base.arrival.seed = kRunSeed;
+  eval::ArrivalOptions arrival;
+  arrival.num_users = eval::ScaledCount(64, 8);
+  arrival.total_arrivals = eval::ScaledCount(1500, 100);
+  arrival.zipf_s = 1.0;
+  arrival.seed = kRunSeed;
+  eval::LoadOptions base;
   base.params.k = 4;
   base.params.epsilon = 200.0;
   base.params.anchor_distance = 300.0;
-  base.pacing = eval::OpenLoopPacing::kVirtual;
+  base.pacing = eval::Pacing::kModeled;
   base.worker_threads = 4;
+  const auto schedule_at = [&](double rate_qps) {
+    eval::ArrivalOptions at = arrival;
+    at.rate_qps = rate_qps;
+    return eval::BuildOpenLoopWorkload(server->get()->domain(), base.params,
+                                       at);
+  };
 
   // Windowed telemetry per point (docs/OBSERVABILITY.md §7): ~16 windows
   // over each point's modeled schedule, an SLO watchdog on windowed
@@ -62,10 +69,9 @@ void Run() {
   // exceeds the last as the backlog compounds.
   constexpr double kQueueDelayP99LimitNs = 2e6;
   const auto windowed_options = [&](double rate_qps) {
-    eval::OpenLoopOptions options = base;
-    options.arrival.rate_qps = rate_qps;
+    eval::LoadOptions options = base;
     const double duration_ns =
-        static_cast<double>(options.arrival.total_arrivals) / rate_qps * 1e9;
+        static_cast<double>(arrival.total_arrivals) / rate_qps * 1e9;
     options.timeseries_interval_ns =
         static_cast<uint64_t>(duration_ns / 16.0) + 1;
     telemetry::SloObjective objective;
@@ -78,8 +84,8 @@ void Run() {
     return options;
   };
 
-  auto run_point = [&](double rate_qps) -> eval::OpenLoopReport {
-    eval::OpenLoopOptions options = windowed_options(rate_qps);
+  auto run_point = [&](double rate_qps) -> eval::LoadReport {
+    eval::LoadOptions options = windowed_options(rate_qps);
     // Fresh clock + registry per point: each knee point's engine.* and
     // eval.arrival.* snapshots describe that point alone.
     telemetry::VirtualClock clock(0);
@@ -90,15 +96,14 @@ void Run() {
     service_options.clock = &clock;
     service_options.registry = &registry;
     service::ServiceEngine engine(server->get(), service_options);
-    auto report =
-        eval::RunOpenLoopLoad(&engine, server->get()->domain(), options);
+    auto report = eval::RunLoad(&engine, schedule_at(rate_qps), options);
     SPACETWIST_CHECK(report.ok()) << report.status().ToString();
     return report.MoveValueOrDie();
   };
 
   // Calibrate capacity from a probe far below saturation, where measured
   // latency ~= service time: capacity = c / mean_service.
-  const eval::OpenLoopReport probe = run_point(500.0);
+  const eval::LoadReport probe = run_point(500.0);
   SPACETWIST_CHECK(probe.latency.count > 0);
   const double mean_service_ns =
       static_cast<double>(probe.latency.sum) /
@@ -107,11 +112,9 @@ void Run() {
       static_cast<double>(base.worker_threads) * 1e9 / mean_service_ns;
 
   // Digest contract at uncontended load: the event-driven path returns the
-  // byte-identical per-user results of the single-threaded library path.
-  eval::OpenLoopOptions reference_options = base;
-  reference_options.arrival.rate_qps = 500.0;
+  // byte-identical per-query results of the single-threaded library path.
   auto reference =
-      eval::RunOpenLoopReference(server->get(), reference_options);
+      eval::RunReference(server->get(), schedule_at(500.0), base.params);
   SPACETWIST_CHECK(reference.ok()) << reference.status().ToString();
   SPACETWIST_CHECK(probe.rejected == 0);
   SPACETWIST_CHECK(probe.digests == *reference)
@@ -149,7 +152,7 @@ void Run() {
   eval::Table table({"offered.qps", "goodput.qps", "completed", "rejected",
                      "p50.ms", "p99.ms", "slo.trips"});
   for (const Measurement& m : measurements) {
-    table.AddRow({Fmt1(m.offered_qps), Fmt1(m.report.goodput_qps),
+    table.AddRow({Fmt1(m.offered_qps), Fmt1(m.report.queries_per_second),
                   StrFormat("%llu", static_cast<unsigned long long>(
                                         m.report.completed)),
                   StrFormat("%llu", static_cast<unsigned long long>(
@@ -169,18 +172,18 @@ void Run() {
   json.KV("schema", "spacetwist.openloop.v1");
   json.KV("bench", "openloop");
   json.KV("worker_threads", static_cast<uint64_t>(base.worker_threads));
-  json.KV("users", static_cast<uint64_t>(base.arrival.num_users));
+  json.KV("users", static_cast<uint64_t>(arrival.num_users));
   json.KV("arrivals_per_point",
-          static_cast<uint64_t>(base.arrival.total_arrivals));
-  json.KV("zipf_s", base.arrival.zipf_s);
+          static_cast<uint64_t>(arrival.total_arrivals));
+  json.KV("zipf_s", arrival.zipf_s);
   json.KV("capacity_qps", capacity_qps, 1);
   json.KV("digest_match", static_cast<uint64_t>(1));
   json.Key("results").BeginArray();
   for (const Measurement& m : measurements) {
     json.BeginObject();
     json.KV("offered_qps", m.offered_qps, 1);
-    json.KV("goodput_qps", m.report.goodput_qps, 1);
-    json.KV("arrivals", m.report.arrivals);
+    json.KV("goodput_qps", m.report.queries_per_second, 1);
+    json.KV("arrivals", m.report.scheduled);
     json.KV("completed", m.report.completed);
     json.KV("rejected", m.report.rejected);
     json.KV("p50_ms", m.report.p50_latency_ms);
@@ -202,8 +205,8 @@ void Run() {
   json.KV("offered_high_qps", high.offered_qps, 1);
   json.KV("p99_low_ms", low.report.p99_latency_ms);
   json.KV("p99_high_ms", high.report.p99_latency_ms);
-  json.KV("goodput_low_qps", low.report.goodput_qps, 1);
-  json.KV("goodput_high_qps", high.report.goodput_qps, 1);
+  json.KV("goodput_low_qps", low.report.queries_per_second, 1);
+  json.KV("goodput_high_qps", high.report.queries_per_second, 1);
   json.KV("ratio", knee_ratio);
   json.EndObject();
   FinishBenchJson("BENCH_openloop.json", &json);

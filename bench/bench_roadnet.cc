@@ -11,12 +11,12 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
-#include "eval/metrics.h"
 #include "eval/table.h"
 #include "roadnet/network_client.h"
 #include "roadnet/network_dataset.h"
 #include "roadnet/network_privacy.h"
 #include "roadnet/vertex_cloak.h"
+#include "telemetry/metric.h"
 
 namespace spacetwist::bench {
 namespace {
@@ -41,8 +41,8 @@ void Run() {
                      "ST Gamma", "CLK pois", "CLK settled", "CLK |cloak|"});
   for (const double dist : dists) {
     Rng rng(kRunSeed);
-    eval::Accumulator st_packets, st_settled, st_region, st_gamma;
-    eval::Accumulator clk_pois, clk_settled;
+    telemetry::Accumulator st_packets, st_settled, st_region, st_gamma;
+    telemetry::Accumulator clk_pois, clk_settled;
     size_t cloak_size = 0;
     for (size_t i = 0; i < queries; ++i) {
       const roadnet::VertexId q = static_cast<roadnet::VertexId>(

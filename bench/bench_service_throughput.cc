@@ -3,7 +3,7 @@
 // ServiceEngine, swept across worker thread counts. Expected shape: qps
 // scales with threads (>= 3x from 1 -> 8 given >= 8 hardware cores; the
 // table prints the detected core count since speedup is bounded by it)
-// while per-client digests stay byte-identical to the single-threaded
+// while per-query digests stay byte-identical to the single-threaded
 // direct path — concurrency buys throughput, never different answers.
 
 #include <cstdio>
@@ -33,15 +33,17 @@ void Run() {
   auto server = server::LbsServer::Build(ds, rtree_options);
   SPACETWIST_CHECK(server.ok()) << server.status().ToString();
 
-  eval::LoadOptions load;
   // Floors keep the run long enough (~1k queries) that qps reflects steady
   // state rather than thread wake-up latency, even at tiny bench scales.
-  load.num_clients = eval::ScaledCount(256, 64);
-  load.queries_per_client = eval::ScaledCount(32, 16);
-  load.seed = kRunSeed;
+  const size_t num_clients = eval::ScaledCount(256, 64);
+  const size_t queries_per_client = eval::ScaledCount(32, 16);
+  eval::LoadOptions load;
+  const eval::Schedule schedule = eval::BuildClosedLoopWorkload(
+      server->get()->domain(), load.params, num_clients, queries_per_client,
+      kRunSeed);
 
   // Single-threaded direct-path digests: the correctness yardstick.
-  auto reference = eval::RunReferenceWorkload(server->get(), load);
+  auto reference = eval::RunReference(server->get(), schedule, load.params);
   SPACETWIST_CHECK(reference.ok()) << reference.status().ToString();
 
   const std::vector<size_t> thread_counts = {1, 2, 4, 8};
@@ -49,11 +51,10 @@ void Run() {
   for (const size_t threads : thread_counts) {
     service::ServiceOptions options;
     options.num_shards = 16;
-    options.max_sessions = load.num_clients * 2;
+    options.max_sessions = num_clients * 2;
     service::ServiceEngine engine(server->get(), options);
     load.worker_threads = threads;
-    auto report = eval::RunClosedLoopLoad(&engine, server->get()->domain(),
-                                          load);
+    auto report = eval::RunLoad(&engine, schedule, load);
     SPACETWIST_CHECK(report.ok()) << report.status().ToString();
     SPACETWIST_CHECK(report->digests == *reference)
         << "thread count " << threads
@@ -79,15 +80,14 @@ void Run() {
   std::printf("clients=%zu queries/client=%zu hardware_cores=%u; digests "
               "byte-identical to the direct single-threaded path at every "
               "thread count\n",
-              load.num_clients, load.queries_per_client,
+              num_clients, queries_per_client,
               std::thread::hardware_concurrency());
 
   telemetry::JsonWriter json;
   json.BeginObject();
   json.KV("bench", "service_throughput");
-  json.KV("clients", static_cast<uint64_t>(load.num_clients));
-  json.KV("queries_per_client",
-          static_cast<uint64_t>(load.queries_per_client));
+  json.KV("clients", static_cast<uint64_t>(num_clients));
+  json.KV("queries_per_client", static_cast<uint64_t>(queries_per_client));
   json.KV("hardware_cores", std::thread::hardware_concurrency());
   json.Key("results").BeginArray();
   for (const Measurement& m : measurements) {

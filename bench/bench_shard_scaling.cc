@@ -1,6 +1,6 @@
 // Shard scale-out: the same closed-loop client load run against
 // Hilbert-partitioned fleets of 1/2/4/8 shards behind a ShardRouter.
-// Expected shape: per-client digests stay byte-identical to one server at
+// Expected shape: per-query digests stay byte-identical to one server at
 // every fleet size (the router is invisible), while the mean per-query
 // fan-out stays well below the fleet size — contiguous Hilbert ranges keep
 // shards spatially clustered, so a supply disk touches few partition
@@ -35,15 +35,16 @@ void Run() {
   const datasets::Dataset ds = Ui(500000);
   auto truth = BuildServer(ds);
 
+  const size_t num_clients = eval::ScaledCount(256, 64);
+  const size_t queries_per_client = eval::ScaledCount(32, 16);
   eval::LoadOptions load;
-  load.num_clients = eval::ScaledCount(256, 64);
-  load.queries_per_client = eval::ScaledCount(32, 16);
   load.worker_threads = 8;
-  load.seed = kRunSeed;
+  const eval::Schedule schedule = eval::BuildClosedLoopWorkload(
+      ds.domain, load.params, num_clients, queries_per_client, kRunSeed);
 
   // Single-server direct-path digests: the fleet must reproduce these
   // byte-for-byte at every size.
-  auto reference = eval::RunReferenceWorkload(truth.get(), load);
+  auto reference = eval::RunReference(truth.get(), schedule, load.params);
   SPACETWIST_CHECK(reference.ok()) << reference.status().ToString();
 
   const std::vector<size_t> fleet_sizes = {1, 2, 4, 8};
@@ -51,12 +52,11 @@ void Run() {
   for (const size_t shards : fleet_sizes) {
     shard::ShardRouterOptions options;
     options.num_shards = shards;
-    options.front.max_sessions = load.num_clients * 2;
+    options.front.max_sessions = num_clients * 2;
     auto router = shard::ShardRouter::Build(ds, options);
     SPACETWIST_CHECK(router.ok()) << router.status().ToString();
     shard::ShardRouter* rt = router->get();
 
-    load.record_tradeoffs = true;
     load.fanout_probe = [rt](const geom::Point& anchor,
                              eval::TradeoffRecord* record) {
       if (auto fanout = rt->TakeFanout(anchor)) {
@@ -64,7 +64,7 @@ void Run() {
         record->shard_pulls = fanout->shard_pulls;
       }
     };
-    auto report = eval::RunClosedLoopLoad(rt->front(), ds.domain, load);
+    auto report = eval::RunLoad(rt->front(), schedule, load);
     load.fanout_probe = nullptr;
     SPACETWIST_CHECK(report.ok()) << report.status().ToString();
     SPACETWIST_CHECK(report->digests == *reference)
@@ -104,15 +104,14 @@ void Run() {
   table.Print(std::cout);
   std::printf("clients=%zu queries/client=%zu; every fleet size reproduced "
               "the single-server digests byte-for-byte\n",
-              load.num_clients, load.queries_per_client);
+              num_clients, queries_per_client);
 
   telemetry::JsonWriter json;
   json.BeginObject();
   json.KV("bench", "shard_scaling");
   json.KV("schema", "spacetwist.shard.v1");
-  json.KV("clients", static_cast<uint64_t>(load.num_clients));
-  json.KV("queries_per_client",
-          static_cast<uint64_t>(load.queries_per_client));
+  json.KV("clients", static_cast<uint64_t>(num_clients));
+  json.KV("queries_per_client", static_cast<uint64_t>(queries_per_client));
   json.Key("results").BeginArray();
   for (const Measurement& m : measurements) {
     json.BeginObject();

@@ -9,9 +9,9 @@
 
 #include "baselines/hilbert_baseline.h"
 #include "bench/bench_util.h"
-#include "eval/metrics.h"
 #include "eval/runner.h"
 #include "eval/table.h"
+#include "telemetry/metric.h"
 
 namespace spacetwist::bench {
 namespace {
@@ -35,7 +35,7 @@ DatasetErrors MeasureDataset(const datasets::Dataset& ds,
   const baselines::HilbertKnnClient dhb(ds, 2, kHilbertLevel, kHilbertKey);
 
   for (const size_t k : ks) {
-    eval::Accumulator shb_err, dhb_err;
+    telemetry::Accumulator shb_err, dhb_err;
     for (const geom::Point& q : queries) {
       auto truth = server->ExactKnn(q, k);
       SPACETWIST_CHECK(truth.ok());

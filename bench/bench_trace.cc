@@ -37,8 +37,8 @@ struct TracedRun {
 // worker makes the span timeline (and therefore the exported bytes) a pure
 // function of the seed. The server is rebuilt per run because page-fetch
 // spans note buffer-pool misses — a warmed pool would change the bytes.
-TracedRun RunTraced(const datasets::Dataset& ds,
-                    const eval::LoadOptions& base) {
+TracedRun RunTraced(const datasets::Dataset& ds, size_t num_clients,
+                    size_t queries_per_client) {
   rtree::RTreeOptions rtree_options;
   rtree_options.concurrent_reads = true;
   auto built = server::LbsServer::Build(ds, rtree_options);
@@ -53,38 +53,41 @@ TracedRun RunTraced(const datasets::Dataset& ds,
   telemetry::TraceSink sink(sink_options);
 
   service::ServiceOptions options;
-  options.max_sessions = base.num_clients * 2;
+  options.max_sessions = num_clients * 2;
   options.clock = &clock;
   options.registry = &registry;
   options.trace_sink = &sink;
   service::ServiceEngine engine(server, options);
 
-  eval::LoadOptions load = base;
+  eval::LoadOptions load;
   load.worker_threads = 1;
   load.clock = &clock;
   load.registry = &registry;
-  load.record_tradeoffs = true;
   // Every query gets a trade-off record; every 8th query gets a full
   // trace. Tracing all 512 queries at paper scale would balloon the
   // committed artifact past 5 MB without adding information — 64 traces
   // already cover every phase and the byte-identity claim.
   load.trace_every = 8;
   load.truth = server;
+  const eval::Schedule schedule = eval::BuildClosedLoopWorkload(
+      server->domain(), load.params, num_clients, queries_per_client,
+      kRunSeed);
 
   // Every query closes its wire session, so by the time the load returns
   // all sessions have retired through Absorb and the sink is complete.
-  auto report = eval::RunClosedLoopLoad(&engine, server->domain(), load);
+  auto report = eval::RunLoad(&engine, schedule, load);
   SPACETWIST_CHECK(report.ok()) << report.status().ToString();
+  SPACETWIST_CHECK(report->first_failure.ok())
+      << report->first_failure.ToString();
 
   TracedRun run;
   telemetry::JsonWriter json;
   json.BeginObject();
   json.KV("schema", telemetry::kTraceSchema);
   json.KV("bench", "trace");
-  json.KV("clients", static_cast<uint64_t>(load.num_clients));
-  json.KV("queries_per_client",
-          static_cast<uint64_t>(load.queries_per_client));
-  json.KV("seed", load.seed);
+  json.KV("clients", static_cast<uint64_t>(num_clients));
+  json.KV("queries_per_client", static_cast<uint64_t>(queries_per_client));
+  json.KV("seed", kRunSeed);
   telemetry::WriteTraceEvents(report->traces, &json);
   eval::WriteTradeoffs(report->tradeoffs, &json);
   json.EndObject();
@@ -102,13 +105,11 @@ void Run() {
 
   const datasets::Dataset ds = Ui(100000);
 
-  eval::LoadOptions load;
-  load.num_clients = eval::ScaledCount(64, 8);
-  load.queries_per_client = eval::ScaledCount(8, 4);
-  load.seed = kRunSeed;
+  const size_t num_clients = eval::ScaledCount(64, 8);
+  const size_t queries_per_client = eval::ScaledCount(8, 4);
 
-  TracedRun first = RunTraced(ds, load);
-  TracedRun second = RunTraced(ds, load);
+  TracedRun first = RunTraced(ds, num_clients, queries_per_client);
+  TracedRun second = RunTraced(ds, num_clients, queries_per_client);
   SPACETWIST_CHECK(first.json == second.json)
       << "trace export is not byte-identical across identically-seeded "
          "VirtualClock runs";
@@ -156,7 +157,7 @@ void Run() {
   SPACETWIST_CHECK(merged_server_spans > 0)
       << "no server spans made it across the wire boundary";
   SPACETWIST_CHECK(first.report.tradeoffs.size() ==
-                   load.num_clients * load.queries_per_client)
+                   num_clients * queries_per_client)
       << "expected one trade-off record per query";
   std::printf("%zu traces (%llu server spans merged client-side), %zu "
               "trade-off records; server sink offered=%llu recorded=%llu "

@@ -1,5 +1,6 @@
 #include "cli/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/strings.h"
@@ -110,6 +111,17 @@ std::vector<std::string> Flags::FlagNames() const {
   names.reserve(values_.size());
   for (const auto& [name, value] : values_) names.push_back(name);
   return names;
+}
+
+Status Flags::CheckKnown(const std::vector<std::string>& known) const {
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      return Status::InvalidArgument(
+          StrFormat("unknown flag --%s for %s", name.c_str(),
+                    command_.empty() ? "this command" : command_.c_str()));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace spacetwist::cli

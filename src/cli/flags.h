@@ -40,8 +40,13 @@ class Flags {
       const std::string& name, const std::vector<double>& default_value)
       const;
 
-  /// Names of all flags present (for unknown-flag checks).
+  /// Names of all flags present.
   std::vector<std::string> FlagNames() const;
+
+  /// InvalidArgument naming the first present flag (in name order) that is
+  /// not in `known` — a command's full flag list — so a misspelled or
+  /// foreign flag fails loudly instead of being silently ignored.
+  Status CheckKnown(const std::vector<std::string>& known) const;
 
  private:
   std::string command_;

@@ -8,8 +8,6 @@ namespace spacetwist::lock_order {
 Mutex kFaultyTransport{LockRank::kFaultyTransport, "lock_order.faulty_transport"};
 Mutex kEventTransport{LockRank::kEventTransport, "lock_order.event_transport"};
 Mutex kThreadPool{LockRank::kThreadPool, "lock_order.thread_pool"};
-Mutex kLoadGenerator{LockRank::kLoadGenerator, "lock_order.load_generator"};
-Mutex kSessionManager{LockRank::kSessionManager, "lock_order.session_manager"};
 Mutex kEngineFront{LockRank::kEngineFront, "lock_order.engine_front"};
 Mutex kEngineShard{LockRank::kEngineShard, "lock_order.engine_shard"};
 Mutex kRouterFanout{LockRank::kRouterFanout, "lock_order.router_fanout"};

@@ -30,9 +30,7 @@ namespace spacetwist::lock_order {
 extern Mutex kFaultyTransport;
 extern Mutex kEventTransport ACQUIRED_AFTER(kFaultyTransport);
 extern Mutex kThreadPool ACQUIRED_AFTER(kEventTransport);
-extern Mutex kLoadGenerator ACQUIRED_AFTER(kThreadPool);
-extern Mutex kSessionManager ACQUIRED_AFTER(kLoadGenerator);
-extern Mutex kEngineFront ACQUIRED_AFTER(kSessionManager);
+extern Mutex kEngineFront ACQUIRED_AFTER(kThreadPool);
 extern Mutex kEngineShard ACQUIRED_AFTER(kEngineFront);
 extern Mutex kRouterFanout ACQUIRED_AFTER(kEngineShard);
 extern Mutex kTraceSink ACQUIRED_AFTER(kRouterFanout);

@@ -43,8 +43,6 @@ enum class LockRank : int {
   kFaultyTransport = 100,  ///< net::FaultyTransport schedule (outermost)
   kEventTransport = 150,   ///< engine::InProcessEventTransport queues
   kThreadPool = 200,       ///< service::ThreadPool queue
-  kLoadGenerator = 300,    ///< eval load generator first-error latch
-  kSessionManager = 400,   ///< server::SessionManager table
   kEngineFront = 500,      ///< ServiceEngine stripes, client-facing engine
   kEngineShard = 600,      ///< ServiceEngine stripes inside a shard fleet
   kRouterFanout = 700,     ///< shard::ShardRouter fan-out log

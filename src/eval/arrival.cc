@@ -5,9 +5,46 @@
 
 #include "common/logging.h"
 #include "core/anchor.h"
-#include "eval/load_generator.h"
 
 namespace spacetwist::eval {
+
+uint64_t ClientSeed(uint64_t base_seed, size_t user) {
+  // Golden-ratio stride keeps per-user streams decorrelated.
+  return base_seed + 0x9E3779B97F4A7C15ULL * (user + 1);
+}
+
+uint64_t QueryTraceId(uint64_t base_seed, size_t user, size_t query) {
+  // splitmix64 finalizer over (user seed, query) — a pure hash, so trace
+  // ids are reproducible from the run parameters alone.
+  uint64_t z = ClientSeed(base_seed, user) ^
+               (0xBF58476D1CE4E5B9ULL * (query + 1));
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  z ^= z >> 31;
+  return z == 0 ? 1 : z;  // 0 is reserved for "unsampled"
+}
+
+Schedule BuildClosedLoopWorkload(const geom::Rect& domain,
+                                 const core::QueryParams& params,
+                                 size_t num_clients, size_t queries_per_client,
+                                 uint64_t seed) {
+  Schedule schedule;
+  schedule.seed = seed;
+  schedule.arrivals.reserve(num_clients * queries_per_client);
+  for (size_t c = 0; c < num_clients; ++c) {
+    Rng rng(ClientSeed(seed, c));
+    for (size_t i = 0; i < queries_per_client; ++i) {
+      Arrival arrival;
+      arrival.user = static_cast<uint32_t>(c);
+      arrival.q = geom::Point{rng.Uniform(domain.min.x, domain.max.x),
+                              rng.Uniform(domain.min.y, domain.max.y)};
+      arrival.anchor = core::GenerateAnchor(
+          arrival.q, params.anchor_distance, domain, &rng);
+      schedule.arrivals.push_back(arrival);
+    }
+  }
+  return schedule;
+}
 
 uint64_t PoissonGapNs(double rate_qps, Rng* rng) {
   SPACETWIST_CHECK(rate_qps > 0.0);
@@ -49,9 +86,9 @@ double UserAnchorDistance(const core::QueryParams& params, uint64_t seed,
   return params.anchor_distance * rng.Uniform(0.5, 1.5);
 }
 
-OpenLoopWorkload BuildOpenLoopWorkload(const geom::Rect& domain,
-                                       const core::QueryParams& params,
-                                       const ArrivalOptions& options) {
+Schedule BuildOpenLoopWorkload(const geom::Rect& domain,
+                               const core::QueryParams& params,
+                               const ArrivalOptions& options) {
   SPACETWIST_CHECK(options.num_users >= 1);
   SPACETWIST_CHECK(options.total_arrivals >= 1);
   Rng arrival_rng(options.seed);
@@ -66,8 +103,9 @@ OpenLoopWorkload BuildOpenLoopWorkload(const geom::Rect& domain,
   };
   std::vector<UserState> states(options.num_users);
 
-  OpenLoopWorkload workload;
-  workload.arrivals.reserve(options.total_arrivals);
+  Schedule schedule;
+  schedule.seed = options.seed;
+  schedule.arrivals.reserve(options.total_arrivals);
   uint64_t t_ns = 0;
   for (size_t i = 0; i < options.total_arrivals; ++i) {
     t_ns += PoissonGapNs(options.rate_qps, &arrival_rng);
@@ -86,9 +124,9 @@ OpenLoopWorkload BuildOpenLoopWorkload(const geom::Rect& domain,
                             state.rng.Uniform(domain.min.y, domain.max.y)};
     arrival.anchor = core::GenerateAnchor(arrival.q, state.anchor_distance,
                                           domain, &state.rng);
-    workload.arrivals.push_back(arrival);
+    schedule.arrivals.push_back(arrival);
   }
-  return workload;
+  return schedule;
 }
 
 }  // namespace spacetwist::eval

@@ -12,6 +12,42 @@
 
 namespace spacetwist::eval {
 
+/// Derives user (client) `user`'s seed from a base seed (golden-ratio
+/// stride keeps per-user streams decorrelated).
+uint64_t ClientSeed(uint64_t base_seed, size_t user);
+
+/// Deterministic, never-zero trace id for user `user`'s `query`-th query of
+/// a schedule built from `base_seed` (0 is reserved for "unsampled").
+uint64_t QueryTraceId(uint64_t base_seed, size_t user, size_t query);
+
+/// One scheduled query: user `user`'s query point and anchor, released
+/// `at_ns` after the run starts.
+struct Arrival {
+  uint64_t at_ns = 0;
+  uint32_t user = 0;
+  geom::Point q;
+  geom::Point anchor;
+};
+
+/// What eval::RunLoad executes and eval::RunReference answers: every query
+/// of a run, in schedule order (ascending `at_ns`). Built by
+/// BuildClosedLoopWorkload or BuildOpenLoopWorkload below from `seed`, from
+/// which trace ids derive too.
+struct Schedule {
+  std::vector<Arrival> arrivals;
+  uint64_t seed = 0;
+};
+
+/// Closed-loop schedule: `num_clients` clients issuing `queries_per_client`
+/// queries each, client-major, all at `at_ns` 0 (the closed pacing releases
+/// a client's next query when its previous one finished). Client c's query
+/// points and anchors come from Rng(ClientSeed(seed, c)), so the schedule
+/// is independent of the number of clients drawn after c.
+Schedule BuildClosedLoopWorkload(const geom::Rect& domain,
+                                 const core::QueryParams& params,
+                                 size_t num_clients, size_t queries_per_client,
+                                 uint64_t seed);
+
 /// Shape of an open-loop arrival process: `total_arrivals` queries arrive
 /// at `rate_qps` with exponential (Poisson-process) gaps, each attributed
 /// to one of `num_users` simulated users drawn Zipf(s) by rank — a few hot
@@ -24,20 +60,6 @@ struct ArrivalOptions {
   size_t total_arrivals = 256;  ///< schedule length (>= 1)
   double zipf_s = 1.0;          ///< Zipf exponent; 0 = uniform users
   uint64_t seed = 4242;
-};
-
-/// One scheduled query: user `user`'s query point and anchor, arriving
-/// `at_ns` after the run starts.
-struct Arrival {
-  uint64_t at_ns = 0;
-  uint32_t user = 0;
-  geom::Point q;
-  geom::Point anchor;
-};
-
-/// A full open-loop schedule, ascending in `at_ns`.
-struct OpenLoopWorkload {
-  std::vector<Arrival> arrivals;
 };
 
 /// Draws one Poisson-process inter-arrival gap (nanoseconds) at `rate_qps`
@@ -69,15 +91,15 @@ class ZipfSampler {
 double UserAnchorDistance(const core::QueryParams& params, uint64_t seed,
                           uint32_t user);
 
-/// Builds the full schedule: one arrival-process Rng (seeded `seed`) draws
-/// the gaps and the Zipf user ranks; each user's query points and anchors
-/// come from that user's own Rng stream (ClientSeed-derived, same stride as
-/// the closed-loop workloads) under its own anchor policy, consumed in that
+/// Open-loop schedule: one arrival-process Rng (seeded `seed`) draws the
+/// gaps and the Zipf user ranks; each user's query points and anchors come
+/// from that user's own Rng stream (ClientSeed-derived, same stride as
+/// BuildClosedLoopWorkload) under its own anchor policy, consumed in that
 /// user's arrival order. Deterministic: same (domain, params, options) in,
 /// byte-identical schedule out.
-OpenLoopWorkload BuildOpenLoopWorkload(const geom::Rect& domain,
-                                       const core::QueryParams& params,
-                                       const ArrivalOptions& options);
+Schedule BuildOpenLoopWorkload(const geom::Rect& domain,
+                               const core::QueryParams& params,
+                               const ArrivalOptions& options);
 
 }  // namespace spacetwist::eval
 

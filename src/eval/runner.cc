@@ -6,9 +6,9 @@
 #include "baselines/clk_baseline.h"
 #include "common/env.h"
 #include "common/rng.h"
-#include "eval/metrics.h"
 #include "privacy/observation.h"
 #include "privacy/region.h"
+#include "telemetry/metric.h"
 
 namespace spacetwist::eval {
 
@@ -16,7 +16,8 @@ Result<GstAggregate> RunGst(server::LbsServer* server,
                             const std::vector<geom::Point>& queries,
                             const GstRunOptions& options) {
   Rng rng(options.seed);
-  Accumulator packets, points, error, privacy, anchor_dist, node_reads;
+  telemetry::Accumulator packets, points, error, privacy, anchor_dist,
+      node_reads;
 
   for (const geom::Point& q : queries) {
     core::SpaceTwistClient client(server);
@@ -71,7 +72,7 @@ Result<ClkAggregate> RunClk(server::LbsServer* server,
                             size_t k, double half_extent, uint64_t seed) {
   Rng rng(seed);
   baselines::ClkClient client(server, net::PacketConfig());
-  Accumulator packets, candidates;
+  telemetry::Accumulator packets, candidates;
   for (const geom::Point& q : queries) {
     Rng query_rng = rng.Fork();
     SPACETWIST_ASSIGN_OR_RETURN(baselines::ClkQueryResult result,

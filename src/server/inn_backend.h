@@ -10,6 +10,10 @@ namespace spacetwist::server {
 /// library owns a memidx backend, so hosting the interfaces here would close
 /// an include cycle). These aliases keep the established server:: spelling
 /// for the engine, the shard router, and everything above them.
+///
+/// Kept on purpose: perfbench/src/stages.h includes this header and uses
+/// the server:: names, so deleting the shim breaks perfbench/run.py's
+/// build. Retire it together with a change to the benchmark.
 using GranularOptions = serving::GranularOptions;
 using InnSource = serving::InnSource;
 using InnBackend = serving::InnBackend;

@@ -31,9 +31,10 @@ struct ThreadPoolOptions {
 /// Fixed-size worker pool executing submitted tasks FIFO. The serving
 /// engine's request executor, used in both load modes (docs/SERVICE.md §7):
 ///
-///  * Closed-loop (`eval::RunClosedLoopLoad`): one task per client step,
-///    each task re-enqueues the client's next query from inside itself, so
-///    the queue never exceeds the client count and `Submit` suffices.
+///  * Closed-loop (`eval::RunLoad` under `Pacing::kClosed`): one task per
+///    client step, each task re-enqueues the client's next query from
+///    inside itself, so the queue never exceeds the client count and
+///    `Submit` suffices.
 ///  * Open-loop (`engine::EventEngine`): the event loop admits decoded
 ///    requests via `TrySubmit` against a `max_queue` bound; when arrivals
 ///    outrun the workers the pool rejects with kResourceExhausted and the
@@ -85,8 +86,8 @@ class ThreadPool {
   // Submit may be called from client code holding nothing, and a task that
   // re-submits does so after the lock is dropped.
   Mutex mu_ ACQUIRED_AFTER(lock_order::kThreadPool)
-      ACQUIRED_BEFORE(lock_order::kLoadGenerator){LockRank::kThreadPool,
-                                                  "service.thread_pool"};
+      ACQUIRED_BEFORE(lock_order::kEngineFront){LockRank::kThreadPool,
+                                                "service.thread_pool"};
   CondVar work_cv_;  ///< signals workers: work or shutdown
   CondVar idle_cv_;  ///< signals Wait(): fully drained
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);

@@ -19,7 +19,6 @@
 #include "engine/event_transport.h"       // IWYU pragma: export
 #include "eval/arrival.h"                 // IWYU pragma: export
 #include "eval/load_generator.h"          // IWYU pragma: export
-#include "eval/open_loop.h"               // IWYU pragma: export
 #include "eval/runner.h"                  // IWYU pragma: export
 #include "eval/table.h"                   // IWYU pragma: export
 #include "eval/workload.h"                // IWYU pragma: export

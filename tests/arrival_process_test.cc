@@ -8,7 +8,7 @@
 #include "common/rng.h"
 #include "datasets/generator.h"
 #include "eval/arrival.h"
-#include "eval/open_loop.h"
+#include "eval/load_generator.h"
 #include "server/lbs_server.h"
 #include "service/service_engine.h"
 #include "telemetry/clock.h"
@@ -88,8 +88,8 @@ TEST(ArrivalWorkloadTest, ScheduleIsDeterministicAndUserPoliciesDistinct) {
   options.zipf_s = 1.0;
   options.seed = 777;
 
-  const OpenLoopWorkload a = BuildOpenLoopWorkload(domain, params, options);
-  const OpenLoopWorkload b = BuildOpenLoopWorkload(domain, params, options);
+  const Schedule a = BuildOpenLoopWorkload(domain, params, options);
+  const Schedule b = BuildOpenLoopWorkload(domain, params, options);
   ASSERT_EQ(a.arrivals.size(), options.total_arrivals);
   ASSERT_EQ(b.arrivals.size(), a.arrivals.size());
   for (size_t i = 0; i < a.arrivals.size(); ++i) {
@@ -117,7 +117,7 @@ TEST(ArrivalWorkloadTest, ScheduleIsDeterministicAndUserPoliciesDistinct) {
   EXPECT_GT(hi - lo, 1e-6);
 }
 
-/// Two open-loop runs in kVirtual pacing under a VirtualClock are
+/// Two open-loop runs in kModeled pacing under a VirtualClock are
 /// byte-identical: same digests, same latency and queue-delay histograms,
 /// same knee-curve numbers. This is the determinism contract bench_openloop
 /// and the validator's monotonicity checks stand on.
@@ -128,18 +128,21 @@ TEST(OpenLoopVirtualTest, VirtualClockRunsAreByteIdentical) {
   auto server = server::LbsServer::Build(dataset, rtree_options)
                     .MoveValueOrDie();
 
-  OpenLoopOptions options;
-  options.arrival.rate_qps = 4000.0;
-  options.arrival.num_users = 8;
-  options.arrival.total_arrivals = 48;
-  options.arrival.seed = 2024;
+  ArrivalOptions arrival;
+  arrival.rate_qps = 4000.0;
+  arrival.num_users = 8;
+  arrival.total_arrivals = 48;
+  arrival.seed = 2024;
+  LoadOptions options;
   options.params.k = 3;
   options.params.epsilon = 150.0;
   options.params.anchor_distance = 250.0;
-  options.pacing = OpenLoopPacing::kVirtual;
+  options.pacing = Pacing::kModeled;
   options.worker_threads = 2;
+  const Schedule schedule =
+      BuildOpenLoopWorkload(dataset.domain, options.params, arrival);
 
-  auto run = [&]() -> OpenLoopReport {
+  auto run = [&]() -> LoadReport {
     telemetry::VirtualClock clock(0);
     telemetry::MetricRegistry registry;
     options.clock = &clock;
@@ -148,18 +151,17 @@ TEST(OpenLoopVirtualTest, VirtualClockRunsAreByteIdentical) {
     service_options.clock = &clock;
     service_options.registry = &registry;
     service::ServiceEngine service(server.get(), service_options);
-    return RunOpenLoopLoad(&service, dataset.domain, options)
-        .MoveValueOrDie();
+    return RunLoad(&service, schedule, options).MoveValueOrDie();
   };
-  const OpenLoopReport a = run();
-  const OpenLoopReport b = run();
+  const LoadReport a = run();
+  const LoadReport b = run();
 
   EXPECT_EQ(a.digests, b.digests);
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.rejected, 0u);
   EXPECT_EQ(a.rejected, b.rejected);
   EXPECT_EQ(a.wall_seconds, b.wall_seconds);
-  EXPECT_EQ(a.goodput_qps, b.goodput_qps);
+  EXPECT_EQ(a.queries_per_second, b.queries_per_second);
   EXPECT_EQ(a.p50_latency_ms, b.p50_latency_ms);
   EXPECT_EQ(a.p99_latency_ms, b.p99_latency_ms);
   auto same_histogram = [](const telemetry::HistogramSnapshot& x,

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "cli/flags.h"
@@ -93,6 +94,26 @@ TEST(FlagsTest, FlagNamesEnumerated) {
   const Flags flags = MustParse({"q", "--a", "1", "--b"});
   const auto names = flags.FlagNames();
   EXPECT_EQ(names.size(), 2u);
+}
+
+TEST(FlagsTest, CheckKnownNamesTheFirstUnknownFlag) {
+  // A typo and a flag of another mode must both fail loudly, naming the
+  // flag, instead of running without them.
+  const Flags flags =
+      MustParse({"serve-bench", "--dataset", "ds.bin", "--open-loop",
+                 "--shards", "4", "--threds", "8"});
+  const Status status = flags.CheckKnown({"dataset", "open-loop"});
+  ASSERT_TRUE(status.IsInvalidArgument());
+  EXPECT_NE(status.ToString().find("--shards"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.ToString().find("serve-bench"), std::string::npos);
+  const Status typo =
+      flags.CheckKnown({"dataset", "open-loop", "shards", "threads"});
+  ASSERT_TRUE(typo.IsInvalidArgument());
+  EXPECT_NE(typo.ToString().find("--threds"), std::string::npos);
+  EXPECT_TRUE(
+      flags.CheckKnown({"dataset", "open-loop", "shards", "threds"}).ok());
+  EXPECT_TRUE(MustParse({"q"}).CheckKnown({}).ok());
 }
 
 TEST(FlagsTest, LastValueWinsOnRepeat) {

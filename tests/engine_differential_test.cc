@@ -9,7 +9,7 @@
 #include "datasets/generator.h"
 #include "engine/event_engine.h"
 #include "engine/event_transport.h"
-#include "eval/open_loop.h"
+#include "eval/load_generator.h"
 #include "net/faulty_transport.h"
 #include "net/wire.h"
 #include "spacetwist/spacetwist.h"
@@ -93,33 +93,36 @@ TEST_F(EngineDifferentialTest, FrameSequenceByteIdentical) {
 /// event engine equal the single-threaded library reference, at a load low
 /// enough that nothing is shed.
 TEST_F(EngineDifferentialTest, OpenLoopDigestsMatchReferenceSingleServer) {
-  eval::OpenLoopOptions options;
-  options.arrival.rate_qps = 2000.0;
-  options.arrival.num_users = 10;
-  options.arrival.total_arrivals = 60;
-  options.arrival.zipf_s = 1.0;
-  options.arrival.seed = 515;
+  eval::ArrivalOptions arrival;
+  arrival.rate_qps = 2000.0;
+  arrival.num_users = 10;
+  arrival.total_arrivals = 60;
+  arrival.zipf_s = 1.0;
+  arrival.seed = 515;
+  eval::LoadOptions options;
   options.params.k = 3;
   options.params.epsilon = 200.0;
   options.params.anchor_distance = 300.0;
   options.worker_threads = 4;
+  const eval::Schedule schedule =
+      eval::BuildOpenLoopWorkload(dataset_.domain, options.params, arrival);
 
   const auto reference =
-      eval::RunOpenLoopReference(server_.get(), options).MoveValueOrDie();
+      eval::RunReference(server_.get(), schedule, options.params)
+          .MoveValueOrDie();
 
   for (const auto pacing :
-       {eval::OpenLoopPacing::kMeasured, eval::OpenLoopPacing::kVirtual}) {
+       {eval::Pacing::kMeasured, eval::Pacing::kModeled}) {
     options.pacing = pacing;
     telemetry::MetricRegistry registry;
     options.registry = &registry;
     service::ServiceOptions service_options;
     service_options.registry = &registry;
     service::ServiceEngine service(server_.get(), service_options);
-    auto report =
-        eval::RunOpenLoopLoad(&service, dataset_.domain, options);
+    auto report = eval::RunLoad(&service, schedule, options);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->rejected, 0u);
-    EXPECT_EQ(report->completed, options.arrival.total_arrivals);
+    EXPECT_EQ(report->completed, arrival.total_arrivals);
     EXPECT_EQ(report->digests, reference);
   }
 }
@@ -127,17 +130,22 @@ TEST_F(EngineDifferentialTest, OpenLoopDigestsMatchReferenceSingleServer) {
 /// Workload-level identity, sharded: the event engine fronting a 4-shard
 /// ShardRouter fleet still matches the single-server reference digests.
 TEST_F(EngineDifferentialTest, OpenLoopDigestsMatchReferenceAcrossShards) {
-  eval::OpenLoopOptions options;
-  options.arrival.rate_qps = 2000.0;
-  options.arrival.num_users = 8;
-  options.arrival.total_arrivals = 40;
-  options.arrival.seed = 616;
+  eval::ArrivalOptions arrival;
+  arrival.rate_qps = 2000.0;
+  arrival.num_users = 8;
+  arrival.total_arrivals = 40;
+  arrival.seed = 616;
+  eval::LoadOptions options;
+  options.pacing = eval::Pacing::kMeasured;
   options.params.k = 4;
   options.params.epsilon = 250.0;
   options.params.anchor_distance = 300.0;
+  const eval::Schedule schedule =
+      eval::BuildOpenLoopWorkload(dataset_.domain, options.params, arrival);
 
   const auto reference =
-      eval::RunOpenLoopReference(server_.get(), options).MoveValueOrDie();
+      eval::RunReference(server_.get(), schedule, options.params)
+          .MoveValueOrDie();
 
   telemetry::MetricRegistry registry;
   options.registry = &registry;
@@ -149,8 +157,7 @@ TEST_F(EngineDifferentialTest, OpenLoopDigestsMatchReferenceAcrossShards) {
   auto router =
       shard::ShardRouter::Build(dataset_, router_options).MoveValueOrDie();
 
-  auto report =
-      eval::RunOpenLoopLoad(router->front(), dataset_.domain, options);
+  auto report = eval::RunLoad(router->front(), schedule, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->rejected, 0u);
   EXPECT_EQ(report->digests, reference);
@@ -201,11 +208,7 @@ TEST_F(EngineDifferentialTest, FaultedRetryOutcomesMatchThreadPerPull) {
                faulty_threadper.stats().delivered;
     if (!want.ok()) continue;
     ++succeeded;
-    eval::ClientDigest want_digest;
-    eval::ClientDigest got_digest;
-    eval::FoldOutcome(*want, &want_digest);
-    eval::FoldOutcome(*got, &got_digest);
-    EXPECT_EQ(want_digest, got_digest) << "query " << q;
+    EXPECT_EQ(eval::DigestOf(*want), eval::DigestOf(*got)) << "query " << q;
     EXPECT_EQ(stats_threadper.attempts, stats_evented.attempts)
         << "query " << q;
     EXPECT_EQ(stats_threadper.retries, stats_evented.retries) << "query " << q;

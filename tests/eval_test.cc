@@ -5,17 +5,17 @@
 #include <sstream>
 
 #include "datasets/generator.h"
-#include "eval/metrics.h"
 #include "eval/runner.h"
 #include "eval/table.h"
 #include "eval/workload.h"
 #include "server/lbs_server.h"
+#include "telemetry/metric.h"
 
 namespace spacetwist::eval {
 namespace {
 
 TEST(AccumulatorTest, Statistics) {
-  Accumulator acc;
+  telemetry::Accumulator acc;
   EXPECT_EQ(acc.count(), 0u);
   EXPECT_DOUBLE_EQ(acc.Mean(), 0.0);
   acc.Add(2);

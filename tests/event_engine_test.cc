@@ -191,7 +191,7 @@ TEST_F(EventEngineTest, ConcurrentPortsAllCompleteAndMatchDirectPath) {
   params.k = 2;
   params.anchor_distance = 250.0;
   constexpr size_t kClients = 16;
-  std::vector<eval::ClientDigest> via_event(kClients);
+  std::vector<eval::QueryDigest> via_event(kClients);
   std::vector<std::thread> threads;
   threads.reserve(kClients);
   for (size_t c = 0; c < kClients; ++c) {
@@ -204,7 +204,7 @@ TEST_F(EventEngineTest, ConcurrentPortsAllCompleteAndMatchDirectPath) {
       EventEngine::Port port = engine.NewPort();
       auto outcome = service::RemoteQuery(&port, q, anchor, params);
       ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-      eval::FoldOutcome(*outcome, &via_event[c]);
+      via_event[c] = eval::DigestOf(*outcome);
     });
   }
   for (std::thread& t : threads) t.join();
@@ -218,9 +218,7 @@ TEST_F(EventEngineTest, ConcurrentPortsAllCompleteAndMatchDirectPath) {
         q, params.anchor_distance, server_->domain(), &rng);
     auto outcome = service::RemoteQuery(&reference, q, anchor, params);
     ASSERT_TRUE(outcome.ok());
-    eval::ClientDigest expected;
-    eval::FoldOutcome(*outcome, &expected);
-    EXPECT_EQ(via_event[c], expected) << "client " << c;
+    EXPECT_EQ(via_event[c], eval::DigestOf(*outcome)) << "client " << c;
   }
 }
 

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "datasets/generator.h"
-#include "eval/fault_sweep.h"
+#include "eval/load_generator.h"
 #include "net/faulty_transport.h"
 #include "server/lbs_server.h"
 #include "service/service_engine.h"
@@ -81,23 +81,19 @@ bool SameEvent(const net::FaultEvent& a, const net::FaultEvent& b) {
          a.request_type == b.request_type && a.kind == b.kind;
 }
 
-void ExpectIdenticalReports(const FaultRunReport& a, const FaultRunReport& b) {
-  EXPECT_EQ(a.queries_attempted, b.queries_attempted);
-  EXPECT_EQ(a.queries_succeeded, b.queries_succeeded);
+void ExpectIdenticalReports(const LoadReport& a, const LoadReport& b) {
+  EXPECT_EQ(a.scheduled, b.scheduled);
+  EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.succeeded, b.succeeded);
-  ASSERT_EQ(a.digests.size(), b.digests.size());
-  for (size_t c = 0; c < a.digests.size(); ++c) {
-    ASSERT_EQ(a.digests[c].size(), b.digests[c].size());
-    for (size_t q = 0; q < a.digests[c].size(); ++q) {
-      EXPECT_TRUE(a.digests[c][q] == b.digests[c][q])
-          << "client " << c << " query " << q;
-    }
-  }
+  EXPECT_EQ(a.digests, b.digests);
   EXPECT_EQ(a.retry.attempts, b.retry.attempts);
   EXPECT_EQ(a.retry.retries, b.retry.retries);
   EXPECT_EQ(a.retry.reopens, b.retry.reopens);
   EXPECT_EQ(a.retry.stale_replies, b.retry.stale_replies);
   EXPECT_EQ(a.retry.backoff_ns, b.retry.backoff_ns);
+  EXPECT_EQ(a.faults.round_trips, b.faults.round_trips);
+  EXPECT_EQ(a.faults.delivered, b.faults.delivered);
+  EXPECT_EQ(a.faults.injected(), b.faults.injected());
   EXPECT_EQ(a.virtual_ns, b.virtual_ns);
   ASSERT_EQ(a.fault_logs.size(), b.fault_logs.size());
   for (size_t c = 0; c < a.fault_logs.size(); ++c) {
@@ -107,6 +103,42 @@ void ExpectIdenticalReports(const FaultRunReport& a, const FaultRunReport& b) {
           << "client " << c << ": " << net::ToString(a.fault_logs[c][i])
           << " vs " << net::ToString(b.fault_logs[c][i]);
     }
+  }
+}
+
+/// A faulted closed-loop run: `clients` clients with `queries` queries
+/// each, one FaultyTransport per client, single-threaded unless a test
+/// says otherwise.
+struct FaultRun {
+  Schedule schedule;
+  LoadOptions options;
+};
+
+FaultRun MakeFaultRun(const server::LbsServer& server, size_t clients,
+                      size_t queries, uint64_t seed,
+                      const core::QueryParams& params,
+                      const net::FaultConfig& fault) {
+  FaultRun run;
+  run.options.worker_threads = 1;
+  run.options.params = params;
+  run.options.fault = fault;
+  run.schedule = BuildClosedLoopWorkload(server.domain(), params, clients,
+                                         queries, seed);
+  return run;
+}
+
+/// Every query the retry layer completed matches the fault-free reference.
+void ExpectSucceededMatchReference(server::LbsServer* server,
+                                   const FaultRun& run,
+                                   const LoadReport& report) {
+  auto reference = RunReference(server, run.schedule, run.options.params);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(report.digests.size(), reference->size());
+  for (size_t i = 0; i < report.digests.size(); ++i) {
+    if (!report.succeeded[i]) continue;
+    EXPECT_TRUE(report.digests[i] == (*reference)[i])
+        << "client " << run.schedule.arrivals[i].user << " query " << i
+        << ": faulted digest diverged from the fault-free reference";
   }
 }
 
@@ -120,17 +152,15 @@ class FaultMatrixTest : public ::testing::TestWithParam<MatrixCase> {
         server::LbsServer::Build(dataset_, rtree_options).MoveValueOrDie();
   }
 
-  FaultRunOptions Options(const MatrixCase& c) const {
-    FaultRunOptions options;
-    options.load.num_clients = 4;
-    options.load.queries_per_client = 3;
-    options.load.seed = 9001;
-    options.load.params.k = c.k;
-    options.load.params.epsilon = c.epsilon;
-    options.load.params.anchor_distance = 300;
-    options.fault.uplink = RatesWith(c.kind, c.rate);
-    options.fault.downlink = RatesWith(c.kind, c.rate);
-    return options;
+  FaultRun Options(const MatrixCase& c) const {
+    core::QueryParams params;
+    params.k = c.k;
+    params.epsilon = c.epsilon;
+    params.anchor_distance = 300;
+    net::FaultConfig fault;
+    fault.uplink = RatesWith(c.kind, c.rate);
+    fault.downlink = RatesWith(c.kind, c.rate);
+    return MakeFaultRun(*server_, 4, 3, 9001, params, fault);
   }
 
   datasets::Dataset dataset_;
@@ -140,42 +170,31 @@ class FaultMatrixTest : public ::testing::TestWithParam<MatrixCase> {
 TEST_P(FaultMatrixTest, SuccessfulQueriesMatchFaultFreeDigestsExactly) {
   const MatrixCase c = GetParam();
   service::ServiceEngine engine(server_.get());
-  const FaultRunOptions options = Options(c);
+  const FaultRun run = Options(c);
 
-  auto run = RunFaultedWorkload(&engine, server_->domain(), options);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  auto reference = RunReferencePerQueryDigests(server_.get(), options.load);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  auto report = RunLoad(&engine, run.schedule, run.options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
 
   // The schedule actually exercised this cell's fault.
-  EXPECT_GT(CountFor(run->faults, c.kind), 0u) << "fault never fired";
+  EXPECT_GT(CountFor(report->faults, c.kind), 0u) << "fault never fired";
   // With the default retry budget every query survives these rates.
-  EXPECT_EQ(run->queries_succeeded, run->queries_attempted);
-  EXPECT_GT(run->retry.retries + run->retry.reopens + run->retry.stale_replies,
+  EXPECT_EQ(report->completed, report->scheduled);
+  EXPECT_GT(report->retry.retries + report->retry.reopens +
+                report->retry.stale_replies,
             0u);
-
-  ASSERT_EQ(run->digests.size(), reference->size());
-  for (size_t client = 0; client < run->digests.size(); ++client) {
-    ASSERT_EQ(run->digests[client].size(), (*reference)[client].size());
-    for (size_t q = 0; q < run->digests[client].size(); ++q) {
-      if (!run->succeeded[client][q]) continue;
-      EXPECT_TRUE(run->digests[client][q] == (*reference)[client][q])
-          << "client " << client << " query " << q
-          << ": faulted digest diverged from the fault-free reference";
-    }
-  }
+  ExpectSucceededMatchReference(server_.get(), run, *report);
 }
 
 TEST_P(FaultMatrixTest, RerunFromSameSeedAndConfigIsByteIdentical) {
   const MatrixCase c = GetParam();
-  const FaultRunOptions options = Options(c);
+  const FaultRun run = Options(c);
 
   service::ServiceEngine engine_a(server_.get());
-  auto run_a = RunFaultedWorkload(&engine_a, server_->domain(), options);
+  auto run_a = RunLoad(&engine_a, run.schedule, run.options);
   ASSERT_TRUE(run_a.ok());
 
   service::ServiceEngine engine_b(server_.get());
-  auto run_b = RunFaultedWorkload(&engine_b, server_->domain(), options);
+  auto run_b = RunLoad(&engine_b, run.schedule, run.options);
   ASSERT_TRUE(run_b.ok());
 
   ExpectIdenticalReports(*run_a, *run_b);
@@ -222,17 +241,7 @@ class FaultInjectionTest : public ::testing::Test {
   std::unique_ptr<server::LbsServer> server_;
 };
 
-TEST_F(FaultInjectionTest, KitchenSinkAllFaultsAtOnce) {
-  // Everything misbehaving simultaneously — the realistic regime — must
-  // still yield only correct answers.
-  service::ServiceEngine engine(server_.get());
-  FaultRunOptions options;
-  options.load.num_clients = 6;
-  options.load.queries_per_client = 3;
-  options.load.seed = 777;
-  options.load.params.k = 8;
-  options.load.params.epsilon = 150.0;
-  options.load.params.anchor_distance = 400;
+net::FaultRates KitchenSinkRates() {
   net::FaultRates rates;
   rates.drop = 0.08;
   rates.duplicate = 0.08;
@@ -240,44 +249,74 @@ TEST_F(FaultInjectionTest, KitchenSinkAllFaultsAtOnce) {
   rates.corrupt = 0.08;
   rates.stall = 0.04;
   rates.disconnect = 0.02;
-  options.fault.uplink = rates;
-  options.fault.downlink = rates;
+  return rates;
+}
 
-  auto run = RunFaultedWorkload(&engine, server_->domain(), options);
-  ASSERT_TRUE(run.ok());
-  auto reference = RunReferencePerQueryDigests(server_.get(), options.load);
-  ASSERT_TRUE(reference.ok());
+TEST_F(FaultInjectionTest, KitchenSinkAllFaultsAtOnce) {
+  // Everything misbehaving simultaneously — the realistic regime — must
+  // still yield only correct answers.
+  service::ServiceEngine engine(server_.get());
+  core::QueryParams params;
+  params.k = 8;
+  params.epsilon = 150.0;
+  params.anchor_distance = 400;
+  net::FaultConfig fault;
+  fault.uplink = KitchenSinkRates();
+  fault.downlink = KitchenSinkRates();
+  const FaultRun run = MakeFaultRun(*server_, 6, 3, 777, params, fault);
 
-  EXPECT_GT(run->queries_succeeded, 0u);
-  for (size_t c = 0; c < run->digests.size(); ++c) {
-    for (size_t q = 0; q < run->digests[c].size(); ++q) {
-      if (!run->succeeded[c][q]) continue;
-      EXPECT_TRUE(run->digests[c][q] == (*reference)[c][q])
-          << "client " << c << " query " << q;
-    }
-  }
+  auto report = RunLoad(&engine, run.schedule, run.options);
+  ASSERT_TRUE(report.ok());
+  EXPECT_GT(report->completed, 0u);
+  ExpectSucceededMatchReference(server_.get(), run, *report);
+}
+
+TEST_F(FaultInjectionTest, InterleavedClientsKeepTheirFaultsAndAnswers) {
+  // Each client owns its FaultyTransport and its retry seed, so running the
+  // clients on four threads against one shared engine — interleaving their
+  // frames and session ids arbitrarily — must reproduce the single-threaded
+  // run query for query: answers, success flags, retries, fault totals, and
+  // every client's fault log.
+  core::QueryParams params;
+  params.k = 4;
+  params.epsilon = 150.0;
+  params.anchor_distance = 400;
+  net::FaultConfig fault;
+  fault.uplink = KitchenSinkRates();
+  fault.downlink = KitchenSinkRates();
+  FaultRun run = MakeFaultRun(*server_, 12, 4, 4321, params, fault);
+
+  service::ServiceEngine engine_serial(server_.get());
+  auto serial = RunLoad(&engine_serial, run.schedule, run.options);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_GT(serial->faults.injected(), 0u);
+
+  run.options.worker_threads = 4;
+  service::ServiceEngine engine_parallel(server_.get());
+  auto parallel = RunLoad(&engine_parallel, run.schedule, run.options);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  ExpectIdenticalReports(*serial, *parallel);
 }
 
 TEST_F(FaultInjectionTest, PerMessageTypeOverridesScopeTheFaults) {
   // Loss confined to Pull traffic: Open and Close stay clean, so the run
   // must see zero reopens yet plenty of pull retries.
   service::ServiceEngine engine(server_.get());
-  FaultRunOptions options;
-  options.load.num_clients = 3;
-  options.load.queries_per_client = 2;
-  options.load.params.k = 4;
-  options.load.params.anchor_distance = 300;
+  core::QueryParams params;
+  params.k = 4;
+  params.anchor_distance = 300;
+  net::FaultConfig fault;
   net::FaultRates lossy;
   lossy.drop = 0.25;
-  options.fault.downlink_overrides.emplace_back(
-      net::MessageType::kPullRequest, lossy);
+  fault.downlink_overrides.emplace_back(net::MessageType::kPullRequest, lossy);
+  const FaultRun run = MakeFaultRun(*server_, 3, 2, 4242, params, fault);
 
-  auto run = RunFaultedWorkload(&engine, server_->domain(), options);
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run->queries_succeeded, run->queries_attempted);
-  EXPECT_GT(run->faults.drops, 0u);
-  EXPECT_EQ(run->retry.reopens, 0u);
-  for (const auto& log : run->fault_logs) {
+  auto report = RunLoad(&engine, run.schedule, run.options);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->completed, report->scheduled);
+  EXPECT_GT(report->faults.drops, 0u);
+  EXPECT_EQ(report->retry.reopens, 0u);
+  for (const auto& log : report->fault_logs) {
     for (const net::FaultEvent& event : log) {
       EXPECT_EQ(event.request_type, net::MessageType::kPullRequest)
           << net::ToString(event);
@@ -290,28 +329,29 @@ TEST_F(FaultInjectionTest, FaultLogReplaysTheRun) {
   // against a fresh engine reproduces the exact same event sequence, which
   // is what makes any failure from a (seed, config) pair debuggable.
   service::ServiceEngine engine(server_.get());
-  FaultRunOptions options;
-  options.load.num_clients = 2;
-  options.load.queries_per_client = 2;
-  options.load.params.anchor_distance = 250;
-  options.fault.uplink.drop = 0.1;
-  options.fault.downlink.drop = 0.1;
-  options.fault.downlink.corrupt = 0.1;
+  core::QueryParams params;
+  params.anchor_distance = 250;
+  net::FaultConfig fault;
+  fault.uplink.drop = 0.1;
+  fault.downlink.drop = 0.1;
+  fault.downlink.corrupt = 0.1;
+  const FaultRun run = MakeFaultRun(*server_, 2, 2, 4242, params, fault);
 
-  auto run = RunFaultedWorkload(&engine, server_->domain(), options);
-  ASSERT_TRUE(run.ok());
+  auto report = RunLoad(&engine, run.schedule, run.options);
+  ASSERT_TRUE(report.ok());
   size_t events = 0;
-  for (const auto& log : run->fault_logs) events += log.size();
+  for (const auto& log : report->fault_logs) events += log.size();
   ASSERT_GT(events, 0u);
 
   service::ServiceEngine replay_engine(server_.get());
-  auto replay = RunFaultedWorkload(&replay_engine, server_->domain(), options);
+  auto replay = RunLoad(&replay_engine, run.schedule, run.options);
   ASSERT_TRUE(replay.ok());
-  ASSERT_EQ(replay->fault_logs.size(), run->fault_logs.size());
-  for (size_t c = 0; c < run->fault_logs.size(); ++c) {
-    ASSERT_EQ(replay->fault_logs[c].size(), run->fault_logs[c].size());
-    for (size_t i = 0; i < run->fault_logs[c].size(); ++i) {
-      EXPECT_TRUE(SameEvent(replay->fault_logs[c][i], run->fault_logs[c][i]));
+  ASSERT_EQ(replay->fault_logs.size(), report->fault_logs.size());
+  for (size_t c = 0; c < report->fault_logs.size(); ++c) {
+    ASSERT_EQ(replay->fault_logs[c].size(), report->fault_logs[c].size());
+    for (size_t i = 0; i < report->fault_logs[c].size(); ++i) {
+      EXPECT_TRUE(
+          SameEvent(replay->fault_logs[c][i], report->fault_logs[c][i]));
     }
   }
 }

@@ -8,7 +8,7 @@
 #include "common/rng.h"
 #include "core/spacetwist_client.h"
 #include "datasets/generator.h"
-#include "eval/fault_sweep.h"
+#include "eval/load_generator.h"
 #include "net/faulty_transport.h"
 #include "privacy/observation.h"
 #include "privacy/region.h"
@@ -114,14 +114,12 @@ TEST(FaultedLemmaPropertyTest, RetrySuccessImpliesFaultFreeDigest) {
     auto server = server::LbsServer::Build(ds, rtree_options).MoveValueOrDie();
     service::ServiceEngine engine(server.get());
 
-    eval::FaultRunOptions options;
-    options.load.num_clients = 3;
-    options.load.queries_per_client = 2;
-    options.load.seed = rng.Next();
-    options.load.params.k = static_cast<size_t>(rng.UniformInt(1, 16));
-    options.load.params.epsilon =
-        rng.Bernoulli(0.5) ? 0.0 : rng.Uniform(50, 500);
-    options.load.params.anchor_distance = rng.Uniform(100, 800);
+    eval::LoadOptions options;
+    options.worker_threads = 1;
+    const uint64_t load_seed = rng.Next();
+    options.params.k = static_cast<size_t>(rng.UniformInt(1, 16));
+    options.params.epsilon = rng.Bernoulli(0.5) ? 0.0 : rng.Uniform(50, 500);
+    options.params.anchor_distance = rng.Uniform(100, 800);
     options.fault_seed = rng.Next();
     options.retry_seed = rng.Next();
     net::FaultRates rates;
@@ -131,22 +129,24 @@ TEST(FaultedLemmaPropertyTest, RetrySuccessImpliesFaultFreeDigest) {
     rates.corrupt = rng.Uniform(0, 0.15);
     rates.stall = rng.Uniform(0, 0.08);
     rates.disconnect = rng.Uniform(0, 0.03);
-    options.fault.uplink = rates;
-    options.fault.downlink = rates;
+    options.fault.emplace();
+    options.fault->uplink = rates;
+    options.fault->downlink = rates;
+    const eval::Schedule schedule = eval::BuildClosedLoopWorkload(
+        server->domain(), options.params, 3, 2, load_seed);
 
-    auto run = eval::RunFaultedWorkload(&engine, server->domain(), options);
+    auto run = eval::RunLoad(&engine, schedule, options);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     auto reference =
-        eval::RunReferencePerQueryDigests(server.get(), options.load);
+        eval::RunReference(server.get(), schedule, options.params);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
     ASSERT_EQ(run->digests.size(), reference->size());
-    for (size_t c = 0; c < run->digests.size(); ++c) {
-      for (size_t q = 0; q < run->digests[c].size(); ++q) {
-        if (!run->succeeded[c][q]) continue;
-        EXPECT_TRUE(run->digests[c][q] == (*reference)[c][q])
-            << "seed " << seed << " client " << c << " query " << q;
-      }
+    for (size_t i = 0; i < run->digests.size(); ++i) {
+      if (!run->succeeded[i]) continue;
+      EXPECT_TRUE(run->digests[i] == (*reference)[i])
+          << "seed " << seed << " client " << schedule.arrivals[i].user
+          << " query " << i;
     }
   }
 }

@@ -21,6 +21,11 @@ class LoadGeneratorTest : public ::testing::Test {
                   .MoveValueOrDie();
   }
 
+  Schedule Closed(size_t clients, size_t queries) {
+    return BuildClosedLoopWorkload(server_->domain(), core::QueryParams(),
+                                   clients, queries, /*seed=*/4242);
+  }
+
   datasets::Dataset dataset_;
   std::unique_ptr<server::LbsServer> server_;
 };
@@ -28,34 +33,38 @@ class LoadGeneratorTest : public ::testing::Test {
 TEST_F(LoadGeneratorTest, ReportAccountsForEveryQuery) {
   service::ServiceEngine engine(server_.get());
   LoadOptions options;
-  options.num_clients = 6;
-  options.queries_per_client = 3;
   options.worker_threads = 2;
-  auto report = RunClosedLoopLoad(&engine, server_->domain(), options);
+  auto report = RunLoad(&engine, Closed(6, 3), options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->queries, 18u);
-  EXPECT_EQ(report->digests.size(), 6u);
+  EXPECT_EQ(report->scheduled, 18u);
+  EXPECT_EQ(report->completed, 18u);
+  EXPECT_EQ(report->rejected + report->failed, 0u);
+  EXPECT_TRUE(report->first_failure.ok());
+  EXPECT_EQ(report->digests.size(), 18u);
+  EXPECT_EQ(report->tradeoffs.size(), 18u);
   EXPECT_GT(report->packets, 0u);
   EXPECT_GT(report->points, 0u);
   EXPECT_GT(report->queries_per_second, 0.0);
   EXPECT_GE(report->p99_latency_ms, report->p50_latency_ms);
+  // The closed pacing records no queue delay.
+  EXPECT_EQ(report->latency.count, 18u);
+  EXPECT_EQ(report->queue_delay.count, 0u);
   // Closed loop closes every session it opens.
   EXPECT_EQ(engine.open_sessions(), 0u);
   EXPECT_EQ(engine.metrics().sessions_opened, 18u);
 }
 
 TEST_F(LoadGeneratorTest, DigestsMatchReferenceAcrossThreadCounts) {
+  const Schedule schedule = Closed(8, 2);
   LoadOptions options;
-  options.num_clients = 8;
-  options.queries_per_client = 2;
-  auto reference = RunReferenceWorkload(server_.get(), options);
+  auto reference = RunReference(server_.get(), schedule, options.params);
   ASSERT_TRUE(reference.ok());
-  ASSERT_EQ(reference->size(), 8u);
+  ASSERT_EQ(reference->size(), 16u);
 
   for (size_t threads : {1u, 2u, 4u}) {
     service::ServiceEngine engine(server_.get());
     options.worker_threads = threads;
-    auto report = RunClosedLoopLoad(&engine, server_->domain(), options);
+    auto report = RunLoad(&engine, schedule, options);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     // Byte-identical results no matter how the work is threaded: same
     // neighbor ids, same distance bit patterns, same packet counts.
@@ -64,13 +73,14 @@ TEST_F(LoadGeneratorTest, DigestsMatchReferenceAcrossThreadCounts) {
 }
 
 TEST_F(LoadGeneratorTest, DistinctClientsGetDistinctWorkloads) {
-  LoadOptions options;
-  options.num_clients = 4;
-  options.queries_per_client = 2;
-  auto digests = RunReferenceWorkload(server_.get(), options);
+  const Schedule schedule = Closed(4, 2);
+  auto digests = RunReference(server_.get(), schedule, core::QueryParams());
   ASSERT_TRUE(digests.ok());
+  ASSERT_EQ(digests->size(), 8u);
   for (size_t i = 0; i < digests->size(); ++i) {
     for (size_t j = i + 1; j < digests->size(); ++j) {
+      if (schedule.arrivals[i].user == schedule.arrivals[j].user) continue;
+      EXPECT_NE(schedule.arrivals[i].q, schedule.arrivals[j].q);
       EXPECT_NE((*digests)[i].result_hash, (*digests)[j].result_hash);
     }
   }
@@ -78,23 +88,35 @@ TEST_F(LoadGeneratorTest, DistinctClientsGetDistinctWorkloads) {
 
 TEST_F(LoadGeneratorTest, ValidatesOptions) {
   service::ServiceEngine engine(server_.get());
+  const Schedule schedule = Closed(1, 1);
   LoadOptions options;
-  options.num_clients = 0;
-  EXPECT_TRUE(RunClosedLoopLoad(&engine, server_->domain(), options)
+  EXPECT_TRUE(RunLoad(&engine, Closed(0, 4), options)
                   .status()
                   .IsInvalidArgument());
-  options.num_clients = 1;
   options.worker_threads = 0;
-  EXPECT_TRUE(RunClosedLoopLoad(&engine, server_->domain(), options)
+  EXPECT_TRUE(RunLoad(&engine, schedule, options)
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(RunClosedLoopLoad(nullptr, server_->domain(), LoadOptions())
+  EXPECT_TRUE(RunLoad(nullptr, schedule, LoadOptions())
                   .status()
                   .IsInvalidArgument());
   // Mismatched packet capacity would silently diverge from the reference.
   options.worker_threads = 1;
   options.params.packet = net::PacketConfig::WithCapacity(10);
-  EXPECT_TRUE(RunClosedLoopLoad(&engine, server_->domain(), options)
+  EXPECT_TRUE(RunLoad(&engine, schedule, options)
+                  .status()
+                  .IsInvalidArgument());
+  // An SLO objective needs windows to judge.
+  options.params = core::QueryParams();
+  options.slo_objectives.emplace_back();
+  EXPECT_TRUE(RunLoad(&engine, schedule, options)
+                  .status()
+                  .IsInvalidArgument());
+  // A user's faulty link carries one query at a time: closed pacing only.
+  options.slo_objectives.clear();
+  options.fault.emplace();
+  options.pacing = Pacing::kModeled;
+  EXPECT_TRUE(RunLoad(&engine, schedule, options)
                   .status()
                   .IsInvalidArgument());
 }

@@ -49,13 +49,13 @@ using LockRankDeathTest = ::testing::Test;
 
 TEST(LockRankDeathTest, InversionAbortsWithBothNames) {
   Mutex high(LockRank::kBufferPool, "test.pool");
-  Mutex low(LockRank::kSessionManager, "test.sessions");
+  Mutex low(LockRank::kEngineFront, "test.sessions");
   EXPECT_DEATH(
       {
         MutexLock a(&high);
         MutexLock b(&low);
       },
-      "lock-rank violation: acquiring \"test\\.sessions\" \\(rank 400\\) "
+      "lock-rank violation: acquiring \"test\\.sessions\" \\(rank 500\\) "
       "while holding \"test\\.pool\" \\(rank 900\\)");
 }
 

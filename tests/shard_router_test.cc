@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "eval/fault_sweep.h"
+#include "eval/load_generator.h"
 #include "geom/grid.h"
 #include "net/faulty_transport.h"
 #include "spacetwist/spacetwist.h"
@@ -158,19 +158,19 @@ TEST(ShardRouterWorkloadTest, DigestsMatchReferenceAcrossFleetSizes) {
   const datasets::Dataset dataset = TestDataset(4000, 902);
   auto single = server::LbsServer::Build(dataset).MoveValueOrDie();
   eval::LoadOptions load;
-  load.num_clients = 12;
-  load.queries_per_client = 3;
   load.worker_threads = 4;
   load.params.k = 4;
   load.params.epsilon = 250.0;
   load.params.anchor_distance = 300.0;
+  const eval::Schedule schedule = eval::BuildClosedLoopWorkload(
+      dataset.domain, load.params, 12, 3, /*seed=*/4242);
   const auto reference =
-      eval::RunReferenceWorkload(single.get(), load).MoveValueOrDie();
+      eval::RunReference(single.get(), schedule, load.params)
+          .MoveValueOrDie();
   for (const size_t num_shards : {1u, 2u, 4u, 8u}) {
     telemetry::MetricRegistry registry;
     auto router = BuildRouter(dataset, num_shards, &registry);
-    auto report =
-        eval::RunClosedLoopLoad(router->front(), dataset.domain, load);
+    auto report = eval::RunLoad(router->front(), schedule, load);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->digests, reference) << "shards=" << num_shards;
   }
@@ -185,32 +185,30 @@ TEST(ShardRouterWorkloadTest, FaultedClientRouterLegStillByteIdentical) {
   telemetry::MetricRegistry registry;
   auto router = BuildRouter(dataset, 4, &registry);
 
-  eval::FaultRunOptions options;
-  options.load.num_clients = 8;
-  options.load.queries_per_client = 3;
-  options.load.params.k = 2;
-  options.load.params.epsilon = 200.0;
-  options.load.params.anchor_distance = 250.0;
-  options.fault.uplink.drop = 0.08;
-  options.fault.downlink.drop = 0.08;
-  options.fault.downlink.corrupt = 0.05;
+  eval::LoadOptions options;
+  options.worker_threads = 1;
+  options.params.k = 2;
+  options.params.epsilon = 200.0;
+  options.params.anchor_distance = 250.0;
+  options.fault.emplace();
+  options.fault->uplink.drop = 0.08;
+  options.fault->downlink.drop = 0.08;
+  options.fault->downlink.corrupt = 0.05;
   options.policy.max_attempts = 8;
+  const eval::Schedule schedule = eval::BuildClosedLoopWorkload(
+      dataset.domain, options.params, 8, 3, /*seed=*/4242);
 
   const auto reference =
-      eval::RunReferencePerQueryDigests(single.get(), options.load)
+      eval::RunReference(single.get(), schedule, options.params)
           .MoveValueOrDie();
-  auto report =
-      eval::RunFaultedWorkload(router->front(), dataset.domain, options);
+  auto report = eval::RunLoad(router->front(), schedule, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_GT(report->faults.drops + report->faults.corruptions, 0u);
   size_t compared = 0;
-  for (size_t c = 0; c < options.load.num_clients; ++c) {
-    for (size_t q = 0; q < options.load.queries_per_client; ++q) {
-      if (!report->succeeded[c][q]) continue;
-      EXPECT_EQ(report->digests[c][q], reference[c][q])
-          << "client " << c << " query " << q;
-      ++compared;
-    }
+  for (size_t i = 0; i < schedule.arrivals.size(); ++i) {
+    if (!report->succeeded[i]) continue;
+    EXPECT_EQ(report->digests[i], reference[i]) << "query " << i;
+    ++compared;
   }
   EXPECT_GT(compared, 0u);
 }
@@ -229,34 +227,28 @@ TEST(ShardRouterFanoutTest, FanoutBoundedBySupplyDiskIntersections) {
   params.k = 4;
   params.epsilon = 250.0;
   params.anchor_distance = 300.0;
-  eval::LoadOptions load;
-  load.num_clients = 24;
-  load.queries_per_client = 2;
-  load.params = params;
+  const eval::Schedule schedule = eval::BuildClosedLoopWorkload(
+      dataset.domain, params, 24, 2, /*seed=*/4242);
   size_t checked = 0;
-  for (size_t c = 0; c < load.num_clients; ++c) {
-    const eval::ClientWorkload workload =
-        eval::MakeClientWorkload(dataset.domain, load, c);
-    for (const auto& [q, anchor] : workload.queries) {
-      auto outcome = service::RemoteQuery(router.get(), q, anchor, params);
-      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-      auto fanout = router->TakeFanout(anchor);
-      ASSERT_TRUE(fanout.has_value());
-      EXPECT_GE(fanout->fanout, 1u);
-      EXPECT_GE(fanout->shard_pulls, fanout->fanout);
-      if (outcome->stream_exhausted) continue;
-      size_t reachable = 0;
-      for (size_t i = 0; i < router->num_shards(); ++i) {
-        const ShardPartition& part = router->partitioner().partition(i);
-        if (part.HasPoints() &&
-            geom::MinDist(anchor, part.bounds) <= outcome->tau) {
-          ++reachable;
-        }
+  for (const eval::Arrival& a : schedule.arrivals) {
+    auto outcome = service::RemoteQuery(router.get(), a.q, a.anchor, params);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    auto fanout = router->TakeFanout(a.anchor);
+    ASSERT_TRUE(fanout.has_value());
+    EXPECT_GE(fanout->fanout, 1u);
+    EXPECT_GE(fanout->shard_pulls, fanout->fanout);
+    if (outcome->stream_exhausted) continue;
+    size_t reachable = 0;
+    for (size_t i = 0; i < router->num_shards(); ++i) {
+      const ShardPartition& part = router->partitioner().partition(i);
+      if (part.HasPoints() &&
+          geom::MinDist(a.anchor, part.bounds) <= outcome->tau) {
+        ++reachable;
       }
-      EXPECT_LE(fanout->fanout, reachable)
-          << "client " << c << " tau " << outcome->tau;
-      ++checked;
     }
+    EXPECT_LE(fanout->fanout, reachable)
+        << "client " << a.user << " tau " << outcome->tau;
+    ++checked;
   }
   EXPECT_GT(checked, 0u);
 }
@@ -272,25 +264,19 @@ TEST(ShardRouterFanoutTest, DefaultBetaFanoutPinnedAndSubLinear) {
   ASSERT_EQ(net::PacketConfig().Capacity(), 67u);
 
   core::QueryParams params;  // defaults: k=1, eps=200, beta=67
-  eval::LoadOptions load;
-  load.num_clients = 16;
-  load.queries_per_client = 2;
-  load.params = params;
+  const eval::Schedule schedule = eval::BuildClosedLoopWorkload(
+      dataset.domain, params, 16, 2, /*seed=*/4242);
   uint64_t total_fanout = 0;
   uint64_t total_pulls = 0;
   uint64_t queries = 0;
-  for (size_t c = 0; c < load.num_clients; ++c) {
-    const eval::ClientWorkload workload =
-        eval::MakeClientWorkload(dataset.domain, load, c);
-    for (const auto& [q, anchor] : workload.queries) {
-      auto outcome = service::RemoteQuery(router.get(), q, anchor, params);
-      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-      auto fanout = router->TakeFanout(anchor);
-      ASSERT_TRUE(fanout.has_value());
-      total_fanout += fanout->fanout;
-      total_pulls += fanout->shard_pulls;
-      ++queries;
-    }
+  for (const eval::Arrival& a : schedule.arrivals) {
+    auto outcome = service::RemoteQuery(router.get(), a.q, a.anchor, params);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    auto fanout = router->TakeFanout(a.anchor);
+    ASSERT_TRUE(fanout.has_value());
+    total_fanout += fanout->fanout;
+    total_pulls += fanout->shard_pulls;
+    ++queries;
   }
   EXPECT_EQ(queries, 32u);
   const double mean_fanout =
@@ -371,10 +357,7 @@ TEST(ShardRouterTelemetryTest, LoadGeneratorFanoutProbe) {
   telemetry::MetricRegistry registry;
   auto router = BuildRouter(dataset, 4, &registry);
   eval::LoadOptions load;
-  load.num_clients = 6;
-  load.queries_per_client = 2;
   load.params.k = 2;
-  load.record_tradeoffs = true;
   ShardRouter* raw = router.get();
   load.fanout_probe = [raw](const geom::Point& anchor,
                             eval::TradeoffRecord* record) {
@@ -383,7 +366,10 @@ TEST(ShardRouterTelemetryTest, LoadGeneratorFanoutProbe) {
       record->shard_pulls = fanout->shard_pulls;
     }
   };
-  auto report = eval::RunClosedLoopLoad(router->front(), dataset.domain, load);
+  auto report = eval::RunLoad(
+      router->front(),
+      eval::BuildClosedLoopWorkload(dataset.domain, load.params, 6, 2, 4242),
+      load);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_EQ(report->tradeoffs.size(), 12u);
   for (const eval::TradeoffRecord& rec : report->tradeoffs) {

@@ -14,7 +14,7 @@
 
 #include "common/rng.h"
 #include "datasets/generator.h"
-#include "eval/open_loop.h"
+#include "eval/load_generator.h"
 #include "server/lbs_server.h"
 #include "service/service_engine.h"
 #include "telemetry/clock.h"
@@ -24,7 +24,6 @@
 #include "telemetry/slo.h"
 #include "telemetry/statsz_ticker.h"
 #include "telemetry/timeseries.h"
-#include "telemetry/trace_sink.h"
 
 namespace spacetwist::telemetry {
 namespace {
@@ -386,23 +385,49 @@ TEST(TimeSeriesCollectorTest, SectionsShareStatszTickerDeadlines) {
 // watchdog trip -> flight dump -> escalated traces pipeline.
 
 struct OpenLoopRun {
-  eval::OpenLoopReport report;
+  eval::LoadReport report;
   std::string json;
-  size_t sink_records = 0;
 };
 
-OpenLoopRun RunWindowedOpenLoop(server::LbsServer* server, double rate_qps,
-                                double slo_limit_ns) {
-  eval::OpenLoopOptions options;
-  options.arrival.rate_qps = rate_qps;
-  options.arrival.num_users = 8;
-  options.arrival.total_arrivals = 96;
-  options.arrival.seed = 2026;
+eval::Schedule WindowedSchedule(const server::LbsServer& server,
+                                const eval::LoadOptions& options,
+                                double rate_qps) {
+  eval::ArrivalOptions arrival;
+  arrival.rate_qps = rate_qps;
+  arrival.num_users = 8;
+  arrival.total_arrivals = 96;
+  arrival.seed = 2026;
+  return eval::BuildOpenLoopWorkload(server.domain(), options.params, arrival);
+}
+
+eval::LoadOptions ModeledOptions() {
+  eval::LoadOptions options;
   options.params.k = 2;
   options.params.epsilon = 150.0;
   options.params.anchor_distance = 250.0;
-  options.pacing = eval::OpenLoopPacing::kVirtual;
+  options.pacing = eval::Pacing::kModeled;
   options.worker_threads = 2;
+  return options;
+}
+
+/// Runs `schedule` on a fresh VirtualClock, registry and engine.
+eval::LoadReport RunModeled(server::LbsServer* server,
+                            const eval::Schedule& schedule,
+                            eval::LoadOptions options) {
+  VirtualClock clock(0);
+  MetricRegistry registry;
+  options.clock = &clock;
+  options.registry = &registry;
+  service::ServiceOptions service_options;
+  service_options.clock = &clock;
+  service_options.registry = &registry;
+  service::ServiceEngine service(server, service_options);
+  return eval::RunLoad(&service, schedule, options).MoveValueOrDie();
+}
+
+OpenLoopRun RunWindowedOpenLoop(server::LbsServer* server, double rate_qps,
+                                double slo_limit_ns) {
+  eval::LoadOptions options = ModeledOptions();
   // ~12 windows over the modeled run at the *lowest* rate; higher rates
   // pack the same schedule into less modeled time.
   options.timeseries_interval_ns = static_cast<uint64_t>(
@@ -414,27 +439,11 @@ OpenLoopRun RunWindowedOpenLoop(server::LbsServer* server, double rate_qps,
   objective.fast_windows = 2;
   objective.slow_windows = 8;
   options.slo_objectives.push_back(objective);
-  options.slo_escalate_queries = 8;
-  options.flight_capacity = 16;
-
-  TraceSink sink;
-  options.trace_sink = &sink;
-
-  VirtualClock clock(0);
-  MetricRegistry registry;
-  options.clock = &clock;
-  options.registry = &registry;
-  service::ServiceOptions service_options;
-  service_options.clock = &clock;
-  service_options.registry = &registry;
-  service::ServiceEngine service(server, service_options);
 
   OpenLoopRun run;
   run.report =
-      eval::RunOpenLoopLoad(&service, server->domain(), options)
-          .MoveValueOrDie();
+      RunModeled(server, WindowedSchedule(*server, options, rate_qps), options);
   run.json = TimeSeriesToJson(run.report.timeseries, &run.report.slo);
-  run.sink_records = sink.Drain().size();
   return run;
 }
 
@@ -453,7 +462,7 @@ TEST(OpenLoopTimeSeriesTest, VirtualRunsExportByteIdenticalSeries) {
   const OpenLoopRun b = RunWindowedOpenLoop(server.get(), 64000.0, 2e6);
   EXPECT_EQ(a.json, b.json);
   EXPECT_EQ(a.report.escalated, b.report.escalated);
-  EXPECT_EQ(a.sink_records, b.sink_records);
+  EXPECT_EQ(a.report.traces.size(), b.report.traces.size());
   EXPECT_FALSE(a.report.timeseries.intervals.empty());
 }
 
@@ -471,9 +480,10 @@ TEST(OpenLoopTimeSeriesTest, OverloadTripsWatchdogAndEscalatesTraces) {
     EXPECT_GT(record.packets, 0u);
   }
   // Escalation: queries after the trip ran traced, and their merged
-  // client+server traces landed in the sink.
+  // client+server traces landed in the report next to sampled ones (none
+  // here: trace_every is 0).
   EXPECT_GT(hot.report.escalated, 0u);
-  EXPECT_EQ(hot.sink_records, hot.report.escalated);
+  EXPECT_EQ(hot.report.traces.size(), hot.report.escalated);
 
   // The knee forms over time: the last measured queue-delay window's p99
   // dominates the first's.
@@ -497,32 +507,62 @@ TEST(OpenLoopTimeSeriesTest, OverloadTripsWatchdogAndEscalatesTraces) {
   const OpenLoopRun cold = RunWindowedOpenLoop(server.get(), 1000.0, 2e6);
   EXPECT_TRUE(cold.report.slo.trips.empty());
   EXPECT_EQ(cold.report.escalated, 0u);
-  EXPECT_EQ(cold.sink_records, 0u);
+  EXPECT_TRUE(cold.report.traces.empty());
 
   // Windowed telemetry never perturbs results: digests match a plain run
   // of the same schedule with the collector off.
-  eval::OpenLoopOptions plain;
-  plain.arrival.rate_qps = 64000.0;
-  plain.arrival.num_users = 8;
-  plain.arrival.total_arrivals = 96;
-  plain.arrival.seed = 2026;
-  plain.params.k = 2;
-  plain.params.epsilon = 150.0;
-  plain.params.anchor_distance = 250.0;
-  plain.pacing = eval::OpenLoopPacing::kVirtual;
-  plain.worker_threads = 2;
-  VirtualClock clock(0);
+  const eval::LoadOptions plain = ModeledOptions();
+  const eval::LoadReport plain_report = RunModeled(
+      server.get(), WindowedSchedule(*server, plain, 64000.0), plain);
+  EXPECT_TRUE(plain_report.digests == hot.report.digests);
+}
+
+// Closed pacing: the thread running RunLoad polls the windows while worker
+// threads run the queries, so every completed query lands in exactly one
+// window, and a breached objective trips with a flight dump.
+TEST(ClosedLoopTimeSeriesTest, WindowsCountEveryQueryWhileWorkersRun) {
+  auto server = BuildServer();
+  VirtualClock clock(0, /*auto_advance_ns=*/1000);
   MetricRegistry registry;
-  plain.clock = &clock;
-  plain.registry = &registry;
   service::ServiceOptions service_options;
   service_options.clock = &clock;
   service_options.registry = &registry;
   service::ServiceEngine service(server.get(), service_options);
-  const eval::OpenLoopReport plain_report =
-      eval::RunOpenLoopLoad(&service, server->domain(), plain)
-          .MoveValueOrDie();
-  EXPECT_TRUE(plain_report.digests == hot.report.digests);
+
+  eval::LoadOptions options;
+  options.worker_threads = 2;
+  options.clock = &clock;
+  options.registry = &registry;
+  options.timeseries_interval_ns = 200000;
+  SloObjective objective;
+  objective.name = "latency-p99";
+  objective.instrument = "eval.arrival.latency_ns";
+  objective.limit = 0.0;  // any window with a completed query breaches
+  objective.fast_windows = 1;
+  objective.slow_windows = 1;
+  options.slo_objectives.push_back(objective);
+  const eval::Schedule schedule = eval::BuildClosedLoopWorkload(
+      server->domain(), options.params, 6, 4, /*seed=*/77);
+
+  const eval::LoadReport report =
+      eval::RunLoad(&service, schedule, options).MoveValueOrDie();
+  ASSERT_EQ(report.completed, schedule.arrivals.size());
+  EXPECT_EQ(report.timeseries.dropped_intervals, 0u);
+  uint64_t windowed_completions = 0;
+  for (const IntervalSample& window : report.timeseries.intervals) {
+    for (const auto& [name, delta] : window.counter_deltas) {
+      if (name == "eval.arrival.completed") windowed_completions += delta;
+    }
+  }
+  EXPECT_EQ(windowed_completions, report.completed);
+  ASSERT_FALSE(report.slo.trips.empty());
+  EXPECT_FALSE(report.slo.trips.front().flight.empty());
+  // Escalated queries (if a trip came early enough) are traced like
+  // sampled ones, and nothing else is: trace_every is 0.
+  EXPECT_EQ(report.traces.size(), report.escalated);
+  EXPECT_EQ(report.digests,
+            eval::RunReference(server.get(), schedule, options.params)
+                .MoveValueOrDie());
 }
 
 }  // namespace

@@ -322,17 +322,16 @@ WorkloadArtifacts RunTracedWorkload() {
   service::ServiceEngine engine(server.get(), options);
 
   eval::LoadOptions load;
-  load.num_clients = 4;
-  load.queries_per_client = 3;
-  load.seed = 99;
   load.worker_threads = 1;  // the virtual clock ticks once per read
   load.clock = &clock;
   load.registry = &registry;
-  load.record_tradeoffs = true;
   load.trace_every = 2;
   load.truth = server.get();
 
-  auto report = eval::RunClosedLoopLoad(&engine, server->domain(), load);
+  auto report = eval::RunLoad(
+      &engine,
+      eval::BuildClosedLoopWorkload(server->domain(), load.params, 4, 3, 99),
+      load);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
 
   telemetry::JsonWriter writer;

@@ -71,7 +71,6 @@
 #include "rtree/tree_stats.h"
 #include "spacetwist/spacetwist.h"
 #include "telemetry/export.h"
-#include "telemetry/flight_recorder.h"
 #include "telemetry/registry.h"
 #include "telemetry/slo.h"
 #include "telemetry/statsz_ticker.h"
@@ -559,7 +558,7 @@ Result<TimeSeriesFlagValues> ParseTimeSeriesFlags(const Flags& flags) {
 }
 
 // serve-bench --open-loop: Poisson arrivals at fixed offered rates instead
-// of closed-loop clients. Runs under kVirtual pacing with a VirtualClock —
+// of closed-loop clients. Runs under kModeled pacing with a VirtualClock —
 // queries execute for real through the event-driven engine (digests checked
 // against the library reference at the lowest rate), latencies come from
 // the deterministic queueing model — so repeated invocations print
@@ -581,7 +580,7 @@ Status RunServeBenchOpenLoop(const Flags& flags, const datasets::Dataset& ds,
   if (rates.empty()) {
     return Status::InvalidArgument("--arrival-rate needs at least one rate");
   }
-  // Under kVirtual the timeline is the modeled arrival schedule, so
+  // Under kModeled the timeline is the modeled arrival schedule, so
   // --timeseries-interval is in *modeled* seconds (a 500-arrival run at
   // 8000 qps spans ~62 modeled ms).
   SPACETWIST_ASSIGN_OR_RETURN(TimeSeriesFlagValues timeseries,
@@ -601,32 +600,35 @@ Status RunServeBenchOpenLoop(const Flags& flags, const datasets::Dataset& ds,
   SPACETWIST_ASSIGN_OR_RETURN(std::unique_ptr<server::LbsServer> server,
                               server::LbsServer::Build(ds, rtree_options));
 
-  eval::OpenLoopOptions base;
-  base.arrival.num_users = static_cast<size_t>(users);
-  base.arrival.total_arrivals = static_cast<size_t>(arrivals);
-  base.arrival.zipf_s = zipf;
-  base.arrival.seed = qf.seed;
+  eval::ArrivalOptions arrival;
+  arrival.num_users = static_cast<size_t>(users);
+  arrival.total_arrivals = static_cast<size_t>(arrivals);
+  arrival.zipf_s = zipf;
+  arrival.seed = qf.seed;
+  const auto schedule_at = [&](double rate_qps) {
+    eval::ArrivalOptions at = arrival;
+    at.rate_qps = rate_qps;
+    return eval::BuildOpenLoopWorkload(server->domain(), qf.params, at);
+  };
+  eval::LoadOptions base;
   base.params = qf.params;
-  base.pacing = eval::OpenLoopPacing::kVirtual;
+  base.pacing = eval::Pacing::kModeled;
   base.worker_threads = static_cast<size_t>(workers);
   if (!timeseries.out.empty()) {
     base.timeseries_interval_ns = timeseries.interval_ns;
     base.slo_objectives = timeseries.objectives;
   }
 
-  eval::OpenLoopOptions reference_options = base;
-  reference_options.arrival.rate_qps = rates.front();
   SPACETWIST_ASSIGN_OR_RETURN(
-      std::vector<eval::ClientDigest> reference,
-      eval::RunOpenLoopReference(server.get(), reference_options));
+      std::vector<eval::QueryDigest> reference,
+      eval::RunReference(server.get(), schedule_at(rates.front()), qf.params));
 
   eval::Table table({"offered.qps", "goodput.qps", "completed", "rejected",
                      "p50(ms)", "p99(ms)"});
   telemetry::TimeSeries last_series;
   telemetry::SloReport last_slo;
   for (size_t i = 0; i < rates.size(); ++i) {
-    eval::OpenLoopOptions options = base;
-    options.arrival.rate_qps = rates[i];
+    eval::LoadOptions options = base;
     telemetry::VirtualClock clock(0);
     telemetry::MetricRegistry registry;
     options.clock = &clock;
@@ -636,8 +638,8 @@ Status RunServeBenchOpenLoop(const Flags& flags, const datasets::Dataset& ds,
     service_options.registry = &registry;
     service::ServiceEngine engine(server.get(), service_options);
     SPACETWIST_ASSIGN_OR_RETURN(
-        eval::OpenLoopReport report,
-        eval::RunOpenLoopLoad(&engine, server->domain(), options));
+        eval::LoadReport report,
+        eval::RunLoad(&engine, schedule_at(rates[i]), options));
     if (i == 0) {
       if (report.rejected != 0) {
         return Status::Internal(
@@ -649,7 +651,7 @@ Status RunServeBenchOpenLoop(const Flags& flags, const datasets::Dataset& ds,
       }
     }
     table.AddRow({FormatDouble(rates[i], 1),
-                  FormatDouble(report.goodput_qps, 1),
+                  FormatDouble(report.queries_per_second, 1),
                   StrFormat("%llu", static_cast<unsigned long long>(
                                         report.completed)),
                   StrFormat("%llu", static_cast<unsigned long long>(
@@ -678,8 +680,24 @@ Status RunServeBenchOpenLoop(const Flags& flags, const datasets::Dataset& ds,
 }
 
 Status RunServeBench(const Flags& flags) {
+  // Each mode reads its own flags; anything else (a typo, or a flag of the
+  // other mode such as --shards with --open-loop) is an error, never a
+  // silently different run.
+  std::vector<std::string> known = {"dataset", "k", "epsilon", "anchor-dist",
+                                    "seed", "timeseries",
+                                    "timeseries-interval", "slo"};
+  const bool open_loop = flags.GetBool("open-loop");
+  if (open_loop) {
+    known.insert(known.end(), {"open-loop", "arrival-rate", "users",
+                               "arrivals", "zipf", "workers"});
+  } else {
+    known.insert(known.end(),
+                 {"clients", "queries", "threads", "trace", "trace-every",
+                  "statsz", "statsz-interval", "shards", "backend"});
+  }
+  SPACETWIST_RETURN_NOT_OK(flags.CheckKnown(known));
   SPACETWIST_ASSIGN_OR_RETURN(datasets::Dataset ds, LoadDatasetFlag(flags));
-  if (flags.GetBool("open-loop")) {
+  if (open_loop) {
     SPACETWIST_ASSIGN_OR_RETURN(QueryFlagValues open_loop_qf,
                                 ParseQueryFlags(flags));
     return RunServeBenchOpenLoop(flags, ds, open_loop_qf);
@@ -723,21 +741,29 @@ Status RunServeBench(const Flags& flags) {
       std::unique_ptr<server::LbsServer> server,
       server::LbsServer::Build(ds, rtree_options, serving));
 
+  const eval::Schedule schedule = eval::BuildClosedLoopWorkload(
+      server->domain(), qf.params, static_cast<size_t>(clients),
+      static_cast<size_t>(queries), qf.seed);
   eval::LoadOptions load;
-  load.num_clients = static_cast<size_t>(clients);
-  load.queries_per_client = static_cast<size_t>(queries);
   load.params = qf.params;
-  load.seed = qf.seed;
   if (!trace_out.empty()) {
-    // Trade-off accounting for every query, distributed traces for every
-    // --trace-every'th, ground truth for the accuracy leg.
-    load.record_tradeoffs = true;
+    // Distributed traces for every --trace-every'th query, ground truth for
+    // the trade-off records' accuracy leg.
     load.trace_every = static_cast<uint64_t>(trace_every);
     load.truth = server.get();
   }
+  // --timeseries: RunLoad samples the default registry on the real clock
+  // and runs the SLO watchdog over the windows; a tripped objective
+  // dumps the flight recorder into its trip record and escalates tracing of
+  // the next queries (docs/OBSERVABILITY.md §7).
+  if (!timeseries.out.empty()) {
+    load.timeseries_interval_ns = timeseries.interval_ns;
+    load.slo_objectives = timeseries.objectives;
+  }
 
-  SPACETWIST_ASSIGN_OR_RETURN(std::vector<eval::ClientDigest> reference,
-                              eval::RunReferenceWorkload(server.get(), load));
+  SPACETWIST_ASSIGN_OR_RETURN(
+      std::vector<eval::QueryDigest> reference,
+      eval::RunReference(server.get(), schedule, qf.params));
 
   // --shards N > 1: serve the load from a Hilbert-sharded fleet behind a
   // ShardRouter instead of one engine. The reference digests (and --trace
@@ -748,19 +774,17 @@ Status RunServeBench(const Flags& flags) {
     shard::ShardRouterOptions router_options;
     router_options.num_shards = static_cast<size_t>(shards);
     router_options.serving = serving;
-    router_options.front.max_sessions = load.num_clients * 2;
+    router_options.front.max_sessions = static_cast<size_t>(clients) * 2;
     SPACETWIST_ASSIGN_OR_RETURN(
         router, shard::ShardRouter::Build(ds, router_options));
-    if (load.record_tradeoffs) {
-      shard::ShardRouter* rt = router.get();
-      load.fanout_probe = [rt](const geom::Point& anchor,
-                               eval::TradeoffRecord* record) {
-        if (auto fanout = rt->TakeFanout(anchor)) {
-          record->fanout = fanout->fanout;
-          record->shard_pulls = fanout->shard_pulls;
-        }
-      };
-    }
+    shard::ShardRouter* rt = router.get();
+    load.fanout_probe = [rt](const geom::Point& anchor,
+                             eval::TradeoffRecord* record) {
+      if (auto fanout = rt->TakeFanout(anchor)) {
+        record->fanout = fanout->fanout;
+        record->shard_pulls = fanout->shard_pulls;
+      }
+    };
   }
 
   // Periodic /statsz sampling: a poller thread drives the clock-disciplined
@@ -780,51 +804,19 @@ Status RunServeBench(const Flags& flags) {
     }
   }
 
-  // Windowed time-series + SLO watchdog (docs/OBSERVABILITY.md §7): the
-  // collector samples the default registry — per-shard registries as
-  // labeled sections, mirroring the statsz layout — on the same poller
-  // thread; a tripped objective dumps the flight ring into its trip record
-  // and escalates distributed tracing of the next queries.
-  std::unique_ptr<telemetry::TimeSeriesCollector> collector;
-  std::unique_ptr<telemetry::FlightRecorder> flight;
-  std::unique_ptr<telemetry::SloMonitor> monitor;
-  if (!timeseries.out.empty()) {
-    telemetry::TimeSeriesCollector::Options collector_options;
-    collector_options.interval_ns = timeseries.interval_ns;
-    collector = std::make_unique<telemetry::TimeSeriesCollector>(
-        nullptr, nullptr, collector_options);
-    if (router != nullptr) {
-      for (size_t i = 0; i < router->num_shards(); ++i) {
-        collector->AddSection(StrFormat("shard%zu", i),
-                              router->shard_registry(i));
-      }
-    }
-    flight = std::make_unique<telemetry::FlightRecorder>();
-    monitor = std::make_unique<telemetry::SloMonitor>(collector.get(),
-                                                      flight.get());
-    for (const telemetry::SloObjective& objective : timeseries.objectives) {
-      monitor->AddObjective(objective);
-    }
-    load.flight = flight.get();
-    load.slo = monitor.get();
-  }
-
   std::atomic<bool> stop_poller{false};
   std::thread poller;
-  if (ticker != nullptr || collector != nullptr) {
-    poller = std::thread([&ticker, &collector, &monitor, &stop_poller] {
+  if (ticker != nullptr) {
+    poller = std::thread([&ticker, &stop_poller] {
       while (!stop_poller.load(std::memory_order_relaxed)) {
-        if (ticker != nullptr) ticker->Poll();
-        if (collector != nullptr && collector->Poll() > 0) {
-          monitor->Evaluate();
-        }
+        ticker->Poll();
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     });
   }
 
   eval::Table table({"threads", "qps", "p50(ms)", "p99(ms)", "packets"});
-  eval::LoadReport traced_report;
+  eval::LoadReport last_report;
   // The measurement loop runs inside a lambda so every early return still
   // joins the poller thread.
   Status run_status = [&]() -> Status {
@@ -838,16 +830,16 @@ Status RunServeBench(const Flags& flags) {
       std::unique_ptr<service::ServiceEngine> single_engine;
       if (router == nullptr) {
         service::ServiceOptions options;
-        options.max_sessions = load.num_clients * 2;
+        options.max_sessions = static_cast<size_t>(clients) * 2;
         single_engine =
             std::make_unique<service::ServiceEngine>(server.get(), options);
       }
       service::ServiceEngine* engine =
           router != nullptr ? router->front() : single_engine.get();
       load.worker_threads = static_cast<size_t>(t);
-      SPACETWIST_ASSIGN_OR_RETURN(
-          eval::LoadReport report,
-          eval::RunClosedLoopLoad(engine, server->domain(), load));
+      SPACETWIST_ASSIGN_OR_RETURN(eval::LoadReport report,
+                                  eval::RunLoad(engine, schedule, load));
+      SPACETWIST_RETURN_NOT_OK(report.first_failure);
       if (!(report.digests == reference)) {
         return Status::Internal(StrFormat(
             "results at %zu threads diverge from the single-threaded "
@@ -860,8 +852,9 @@ Status RunServeBench(const Flags& flags) {
                     StrFormat("%llu", static_cast<unsigned long long>(
                                           report.packets))});
       // Traces and trade-off records are identical across thread counts
-      // (fixed seeds, client-major fold); keep the last run's.
-      traced_report = std::move(report);
+      // (fixed seeds, schedule-order fold); keep the last run's, and its
+      // time series.
+      last_report = std::move(report);
     }
     return Status::OK();
   }();
@@ -880,20 +873,15 @@ Status RunServeBench(const Flags& flags) {
                 "direct path at every thread count\n");
   }
 
-  if (collector != nullptr) {
-    // The poller is joined, so the collector is back on this thread: close
-    // the tail window, give the watchdog its last look, and export.
-    collector->Flush();
-    monitor->Evaluate();
-    const telemetry::SloReport slo_report = monitor->Report();
+  if (!timeseries.out.empty()) {
     SPACETWIST_RETURN_NOT_OK(
-        WriteFile(timeseries.out, telemetry::TimeSeriesToJson(
-                                      collector->series(), &slo_report)));
-    std::printf("wrote %s (%zu intervals, %zu slo trips, %llu flight "
-                "records)\n",
-                timeseries.out.c_str(), collector->series().intervals.size(),
-                slo_report.trips.size(),
-                static_cast<unsigned long long>(flight->recorded()));
+        WriteFile(timeseries.out,
+                  telemetry::TimeSeriesToJson(last_report.timeseries,
+                                              &last_report.slo)));
+    std::printf("wrote %s (%zu intervals, %zu slo trips, %zu threads)\n",
+                timeseries.out.c_str(),
+                last_report.timeseries.intervals.size(),
+                last_report.slo.trips.size(), load.worker_threads);
   }
 
   if (!trace_out.empty()) {
@@ -904,13 +892,13 @@ Status RunServeBench(const Flags& flags) {
     writer.KV("clients", static_cast<uint64_t>(clients));
     writer.KV("queries_per_client", static_cast<uint64_t>(queries));
     writer.KV("seed", qf.seed);
-    telemetry::WriteTraceEvents(traced_report.traces, &writer);
-    eval::WriteTradeoffs(traced_report.tradeoffs, &writer);
+    telemetry::WriteTraceEvents(last_report.traces, &writer);
+    eval::WriteTradeoffs(last_report.tradeoffs, &writer);
     writer.EndObject();
     SPACETWIST_RETURN_NOT_OK(WriteFile(trace_out, writer.str()));
     std::printf("wrote %s (%zu traces, %zu trade-off records)\n",
-                trace_out.c_str(), traced_report.traces.size(),
-                traced_report.tradeoffs.size());
+                trace_out.c_str(), last_report.traces.size(),
+                last_report.tradeoffs.size());
   }
 
   if (flags.Has("statsz") || ticker != nullptr) {
