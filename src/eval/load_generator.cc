@@ -330,9 +330,15 @@ void LoadRun::RunClosed() {
     }
   };
   const uint64_t start_ns = clock_->NowNs();
-  for (size_t u = 0; u < num_users_; ++u) {
-    if (!chains[u].empty()) pool.Submit([&step, u] { step(u, 0); });
-  }
+  // The first steps are queued from inside the pool: with one worker they
+  // all precede any re-submitted step, however slowly this thread runs.
+  // Queued by this thread, a preempted caller could let user 0's second
+  // query overtake user 3's first and change a VirtualClock run's bytes.
+  pool.Submit([&] {
+    for (size_t u = 0; u < num_users_; ++u) {
+      if (!chains[u].empty()) pool.Submit([&step, u] { step(u, 0); });
+    }
+  });
   Drain(&pool);
   wall_ns_ = clock_->NowNs() - start_ns;
 }

@@ -13,7 +13,7 @@ namespace spacetwist::memidx {
 /// the serving hot path. Each element is computed exactly as
 /// geom::DistanceSquared(q, {xs[i], ys[i]}): widen to double, dx*dx + dy*dy
 /// in that order, no reassociation — so `sqrt(out[i])` is bit-identical to
-/// the geom::Distance keys of the paged stream's heap, which the differential
+/// the geom::Distance keys of the paged oracle's heap, which the differential
 /// suite relies on. The loop body has no cross-iteration dependency, so the
 /// compiler is free to vectorize it over the contiguous coordinate arrays.
 void BatchedSquaredDistances(const geom::Point& q, const float* xs,

@@ -7,10 +7,11 @@
 
 namespace spacetwist::memidx {
 
-/// Compact 32-byte frontier entry of the in-memory granular stream. For
+/// Compact 32-byte frontier entry of the granular serving kernel. For
 /// points, (x, y) is the float32-quantized location and `id` the point id;
-/// for nodes, `id` is the arena slot (== page id of the isomorphic paged
-/// tree) and (x, y, max_x, max_y) the node's MBR as recorded by its parent
+/// for nodes, `id` is the node id — arena slot or page id, which coincide
+/// for isomorphic trees — and (x, y, max_x, max_y) the node's MBR as
+/// recorded by its parent
 /// — the leaf scan plan needs it at pop time. max_x < x marks an unknown
 /// MBR (the root has no parent record). `handle` addresses the entry in
 /// the FrontierHeap's handle table (see below); the two top sentinel

@@ -151,7 +151,7 @@ class MemCellFilter {
   /// Expansion-time admission, fused into one probe: a non-reject verdict
   /// means the point enters the frontier (see the action constants) and
   /// `*key` receives its heap key — sqrt(dist_squared), the exact key the
-  /// paged stream computes. kRejectAction comes back without ever taking
+  /// paged oracle computes. kRejectAction comes back without ever taking
   /// the sqrt when the cell already reported k points, or when k
   /// already-pushed same-cell points dominate it under the frontier's
   /// (key, id) order.

@@ -1,17 +1,54 @@
 #include "memidx/mem_inn_stream.h"
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "common/logging.h"
 #include "geom/rect.h"
 #include "memidx/batch_distance.h"
+#include "rtree/node.h"
 
 namespace spacetwist::memidx {
 
-MemInnStream::MemInnStream(const MemRTree* tree, const geom::Point& anchor,
-                           double epsilon, size_t k,
-                           const serving::GranularOptions& options)
-    : tree_(tree), anchor_(anchor), epsilon_(epsilon), k_(k),
+PageStore::PageStore(rtree::RTree* tree)
+    : tree_(tree), xs_(tree->leaf_capacity()), ys_(tree->leaf_capacity()),
+      ids_(tree->leaf_capacity()), branches_(tree->branch_capacity()) {}
+
+Status PageStore::Load(storage::PageId id, bool* is_leaf) {
+  telemetry::Trace::Span fetch;  // a no-op unless a trace is attached
+  if (trace_ != nullptr) fetch = trace_->StartSpan("server.page.fetch");
+  bool missed = false;
+  auto page = tree_->buffer_pool()->Fetch(id, &missed);
+  fetch.Note("page", id);
+  fetch.Note("miss", missed ? 1 : 0);
+  fetch.End();
+  SPACETWIST_ASSIGN_OR_RETURN(page_, std::move(page));
+  int level = 0;
+  size_t count = 0;
+  SPACETWIST_RETURN_NOT_OK(rtree::ReadNodeHeader(*page_, &level, &count));
+  *is_leaf = level == 0;
+  count_ = static_cast<uint32_t>(count);
+  return Status::OK();
+}
+
+MemRTree::LeafView PageStore::Leaf() {
+  rtree::DecodeLeafEntries(*page_, count_, xs_.data(), ys_.data(),
+                           ids_.data());
+  return MemRTree::LeafView{count_, xs_.data(), ys_.data(), ids_.data()};
+}
+
+MemRTree::BranchView PageStore::Branch() {
+  std::memcpy(branches_.data(), page_->data() + rtree::kNodeHeaderSize,
+              count_ * sizeof(MemRTree::BranchRecord));
+  return MemRTree::BranchView{count_, branches_.data()};
+}
+
+template <typename NodeStore>
+FrontierInnStream<NodeStore>::FrontierInnStream(
+    typename NodeStore::Tree* tree, const geom::Point& anchor, double epsilon,
+    size_t k, const serving::GranularOptions& options)
+    : store_(tree), anchor_(anchor), epsilon_(epsilon), k_(k),
       filter_(anchor, epsilon, k, options.lazy_eviction,
               options.max_coverage_cells,
               telemetry::MetricRegistry::OrDefault(options.registry)
@@ -26,16 +63,18 @@ MemInnStream::MemInnStream(const MemRTree* tree, const geom::Point& anchor,
   node_reads_metric_ = r->GetCounter("server.granular.node_reads");
   heap_pops_metric_ = r->GetCounter("server.granular.heap_pops");
   points_reported_metric_ = r->GetCounter("server.granular.points_reported");
-  scratch_.resize(tree_->leaf_capacity());
+  scratch_.resize(store_.leaf_capacity());
   FrontierEntry root;
   root.key = 0.0;
-  root.id = tree_->root();
+  root.id = store_.root();
   root.handle = FrontierEntry::kNodeEntry;
   heap_.Push(root);
 }
 
-void MemInnStream::ApplyAction(int64_t action, double key, float x, float y,
-                               uint32_t id) {
+template <typename NodeStore>
+void FrontierInnStream<NodeStore>::ApplyAction(int64_t action, double key,
+                                               float x, float y,
+                                               uint32_t id) {
   FrontierEntry child;
   child.key = key;
   child.x = x;
@@ -53,10 +92,12 @@ void MemInnStream::ApplyAction(int64_t action, double key, float x, float y,
   }
 }
 
-void MemInnStream::ExpandNode(const FrontierEntry& item) {
+template <typename NodeStore>
+Status FrontierInnStream<NodeStore>::ExpandNode(const FrontierEntry& item) {
+  bool is_leaf = false;
+  SPACETWIST_RETURN_NOT_OK(store_.Load(item.id, &is_leaf));
   ++node_reads_;
-  const uint32_t node_id = item.id;
-  if (tree_->IsLeaf(node_id)) {
+  if (is_leaf) {
     // Fast path: probe each of the leaf's few overlapped cells once, then
     // admit per point with an array index plus one compare. Needs the
     // node's MBR (unknown only for a leaf root).
@@ -70,8 +111,8 @@ void MemInnStream::ExpandNode(const FrontierEntry& item) {
             &plan)) {
       // Every overlapped cell already reported k points: the oracle would
       // push each point and reject it at pop, so skip the scan outright.
-      if (plan.skip_all) return;
-      const MemRTree::LeafView leaf = tree_->Leaf(node_id);
+      if (plan.skip_all) return Status::OK();
+      const MemRTree::LeafView leaf = store_.Leaf();
       BatchedSquaredDistances(anchor_, leaf.xs, leaf.ys, leaf.count,
                               scratch_.data());
       double max_reject = plan.max_reject;
@@ -88,11 +129,11 @@ void MemInnStream::ExpandNode(const FrontierEntry& item) {
         max_reject = plan.max_reject;  // a push may tighten it
         ApplyAction(action, key, leaf.xs[i], leaf.ys[i], leaf.ids[i]);
       }
-      return;
+      return Status::OK();
     }
     // Fallback (filter disabled, unknown MBR, or a leaf spanning more
     // cells than a plan covers): one fused probe per point.
-    const MemRTree::LeafView leaf = tree_->Leaf(node_id);
+    const MemRTree::LeafView leaf = store_.Leaf();
     BatchedSquaredDistances(anchor_, leaf.xs, leaf.ys, leaf.count,
                             scratch_.data());
     for (uint32_t i = 0; i < leaf.count; ++i) {
@@ -104,9 +145,9 @@ void MemInnStream::ExpandNode(const FrontierEntry& item) {
       if (action == MemCellFilter::kRejectAction) continue;
       ApplyAction(action, key, leaf.xs[i], leaf.ys[i], leaf.ids[i]);
     }
-    return;
+    return Status::OK();
   }
-  const MemRTree::BranchView branch = tree_->Branch(node_id);
+  const MemRTree::BranchView branch = store_.Branch();
   for (uint32_t i = 0; i < branch.count; ++i) {
     const MemRTree::BranchRecord& e = branch.entries[i];
     const geom::Rect mbr{
@@ -125,10 +166,12 @@ void MemInnStream::ExpandNode(const FrontierEntry& item) {
     child.handle = FrontierEntry::kNodeEntry;
     heap_.Push(child);
   }
+  return Status::OK();
 }
 
-Status MemInnStream::NextBatch(size_t max_points,
-                               std::vector<rtree::DataPoint>* out) {
+template <typename NodeStore>
+Status FrontierInnStream<NodeStore>::NextBatch(
+    size_t max_points, std::vector<rtree::DataPoint>* out) {
   // One index visit per pull: the whole beta-point batch advances the
   // frontier in this loop without surfacing per point. Registry counters
   // are flushed once per pull, not per pop — atomic adds are measurable at
@@ -136,6 +179,7 @@ Status MemInnStream::NextBatch(size_t max_points,
   const uint64_t pops_before = pops_;
   const uint64_t reads_before = node_reads_;
   const size_t out_before = out->size();
+  Status status;
   while (out->size() < max_points && !heap_.empty()) {
     const FrontierEntry item = heap_.top();
     heap_.Pop();
@@ -146,13 +190,14 @@ Status MemInnStream::NextBatch(size_t max_points,
     // hundreds of nanoseconds — enough to hide most of the miss).
     if (!heap_.empty()) {
       const FrontierEntry& next = heap_.top();
-      if (next.is_node()) tree_->PrefetchNode(next.id);
+      if (next.is_node()) store_.Prefetch(next.id);
     }
 
     filter_.EvictUpTo(item.key);
 
     if (item.is_node()) {
-      ExpandNode(item);
+      status = ExpandNode(item);
+      if (!status.ok()) break;
       continue;
     }
     const geom::Point p{static_cast<double>(item.x),
@@ -165,14 +210,18 @@ Status MemInnStream::NextBatch(size_t max_points,
   node_reads_metric_->Add(node_reads_ - reads_before);
   points_reported_metric_->Add(
       static_cast<uint64_t>(out->size() - out_before));
-  return Status::OK();
+  return status;
 }
 
-Result<rtree::DataPoint> MemInnStream::Next() {
+template <typename NodeStore>
+Result<rtree::DataPoint> FrontierInnStream<NodeStore>::Next() {
   single_.clear();
   SPACETWIST_RETURN_NOT_OK(NextBatch(1, &single_));
   if (single_.empty()) return Status::Exhausted("granular stream is dry");
   return single_[0];
 }
+
+template class FrontierInnStream<ArenaStore>;
+template class FrontierInnStream<PageStore>;
 
 }  // namespace spacetwist::memidx

@@ -35,7 +35,7 @@ struct MemRTreeOptions {
 /// Coordinates round-trip through float32 on every node write, exactly like
 /// SerializeNode does on a page. Node `i` here therefore holds the same
 /// entries in the same order as page `i` there — which is what makes the
-/// memidx INN stream byte-identical to the paged one, ties included. The
+/// memidx INN stream byte-identical to the paged oracle, ties included. The
 /// differential suite (tests/index_differential_test.cc) pins this down.
 ///
 /// Mutation is single-threaded; reads may run concurrently once mutation

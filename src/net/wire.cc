@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 #include <utility>
@@ -121,14 +122,45 @@ class WireReader {
   size_t remaining_;
 };
 
-/// Running CRC-32 update; `crc` starts and ends inverted (callers use
-/// Crc32() below, which handles the inversions).
-uint32_t Crc32Update(uint32_t crc, const uint8_t* data, size_t size) {
-  for (size_t i = 0; i < size; ++i) {
-    crc ^= data[i];
+/// Slice-by-8 tables for the reflected polynomial 0xEDB88320: [0][b] is the
+/// CRC of byte b, [s][b] that CRC advanced past s zero bytes.
+constexpr std::array<std::array<uint32_t, 256>, 8> kCrcTables = [] {
+  std::array<std::array<uint32_t, 256>, 8> t{};
+  for (uint32_t b = 0; b < 256; ++b) {
+    uint32_t crc = b;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
     }
+    t[0][b] = crc;
+  }
+  for (size_t s = 1; s < 8; ++s) {
+    for (size_t b = 0; b < 256; ++b) {
+      t[s][b] = (t[s - 1][b] >> 8) ^ t[0][t[s - 1][b] & 0xFF];
+    }
+  }
+  return t;
+}();
+
+/// Little-endian 32-bit load, host-order independent like the codec.
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
+}
+
+/// Running CRC-32 update; `crc` starts and ends inverted (callers use
+/// Crc32() below, which handles the inversions).
+uint32_t Crc32Update(uint32_t crc, const uint8_t* data, size_t size) {
+  const auto& t = kCrcTables;
+  for (; size >= 8; data += 8, size -= 8) {
+    const uint32_t lo = crc ^ LoadLe32(data);
+    const uint32_t hi = LoadLe32(data + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xFF];
   }
   return crc;
 }

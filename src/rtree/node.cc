@@ -50,15 +50,31 @@ Status SerializeNode(const Node& node, storage::Page* page) {
   return Status::OK();
 }
 
-Status DeserializeNode(const storage::Page& page, Node* node) {
-  node->level = page.GetU8(0);
-  const size_t count = page.GetU16(2);
-  const size_t cap = node->level == 0 ? LeafCapacity(page.size())
-                                      : BranchCapacity(page.size());
-  if (count > cap) {
+Status ReadNodeHeader(const storage::Page& page, int* level, size_t* count) {
+  *level = page.GetU8(0);
+  *count = page.GetU16(2);
+  const size_t cap =
+      *level == 0 ? LeafCapacity(page.size()) : BranchCapacity(page.size());
+  if (*count > cap) {
     return Status::Corruption(
-        StrFormat("node claims %zu entries, capacity is %zu", count, cap));
+        StrFormat("node claims %zu entries, capacity is %zu", *count, cap));
   }
+  return Status::OK();
+}
+
+void DecodeLeafEntries(const storage::Page& page, size_t count, float* xs,
+                       float* ys, uint32_t* ids) {
+  size_t off = kNodeHeaderSize;
+  for (size_t i = 0; i < count; ++i, off += kLeafEntrySize) {
+    xs[i] = page.GetF32(off);
+    ys[i] = page.GetF32(off + 4);
+    ids[i] = page.GetU32(off + 8);
+  }
+}
+
+Status DeserializeNode(const storage::Page& page, Node* node) {
+  size_t count = 0;
+  SPACETWIST_RETURN_NOT_OK(ReadNodeHeader(page, &node->level, &count));
   node->points.clear();
   node->branches.clear();
   size_t off = kNodeHeaderSize;

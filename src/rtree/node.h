@@ -2,6 +2,7 @@
 #define SPACETWIST_RTREE_NODE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -50,6 +51,17 @@ Status SerializeNode(const Node& node, storage::Page* page);
 
 /// Parses `page` into `*node`. Fails on malformed headers.
 Status DeserializeNode(const storage::Page& page, Node* node);
+
+/// Reads `page`'s header: the node level, and an entry count within that
+/// level's capacity for the page size (kCorruption otherwise, which keeps
+/// every entry read inside the page).
+Status ReadNodeHeader(const storage::Page& page, int* level, size_t* count);
+
+/// Decodes the first `count` leaf entries of `page` (at most the count
+/// ReadNodeHeader checked) into structure-of-arrays float32 coordinates and
+/// ids.
+void DecodeLeafEntries(const storage::Page& page, size_t count, float* xs,
+                       float* ys, uint32_t* ids);
 
 }  // namespace spacetwist::rtree
 

@@ -74,9 +74,9 @@ std::unique_ptr<RTree> RTree::AdoptForBulkLoad(storage::Pager* pager,
   return tree;
 }
 
-Status RTree::ReadNode(storage::PageId id, Node* node) {
+Status RTree::ReadNode(storage::PageId id, Node* node, bool* missed) {
   SPACETWIST_ASSIGN_OR_RETURN(storage::BufferPool::PageHandle page,
-                              pool_->Fetch(id));
+                              pool_->Fetch(id, missed));
   return DeserializeNode(*page, node);
 }
 

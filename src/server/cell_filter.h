@@ -18,10 +18,11 @@ namespace spacetwist::server {
 
 /// Algorithm 2's grid-cell bookkeeping (the set V), shared by the paged
 /// GranularInnStream (the differential oracle) and the shard router's
-/// scatter-gather merge, which must evolve it identically. The memidx
-/// serving path carries a semantically equivalent fast implementation
-/// (memidx/mem_cell_filter.h) whose stream equality the differential suite
-/// pins against this one; behavioral changes here must be mirrored there.
+/// scatter-gather merge, which must evolve it identically. The serving
+/// kernel (memidx::FrontierInnStream, on pages and on the arena) carries a
+/// semantically equivalent fast implementation (memidx/mem_cell_filter.h)
+/// whose stream equality the differential suite pins against this one;
+/// behavioral changes here must be mirrored there.
 ///
 /// With epsilon == 0 the filter is disabled: every point is admitted and no
 /// entry is ever covered (plain incremental NN).

@@ -55,13 +55,11 @@ Result<rtree::DataPoint> GranularInnStream::Next() {
     if (trace_ == nullptr) {
       SPACETWIST_RETURN_NOT_OK(tree_->ReadNode(item.node_page, &node));
     } else {
-      const uint64_t misses_before =
-          tree_->buffer_pool()->stats().physical_reads;
+      bool missed = false;
       telemetry::Trace::Span fetch = trace_->StartSpan("server.page.fetch");
-      Status read = tree_->ReadNode(item.node_page, &node);
+      Status read = tree_->ReadNode(item.node_page, &node, &missed);
       fetch.Note("page", item.node_page);
-      fetch.Note("miss",
-                 tree_->buffer_pool()->stats().physical_reads - misses_before);
+      fetch.Note("miss", missed ? 1 : 0);
       fetch.End();
       SPACETWIST_RETURN_NOT_OK(read);
     }

@@ -1,5 +1,7 @@
 #include "server/lbs_server.h"
 
+#include "memidx/mem_inn_stream.h"
+
 namespace spacetwist::server {
 
 Result<std::unique_ptr<LbsServer>> LbsServer::Build(
@@ -19,8 +21,8 @@ Result<std::unique_ptr<LbsServer>> LbsServer::Build(
     mem_options.page_size = options.page_size;
     mem_options.min_fill = options.min_fill;
     SPACETWIST_ASSIGN_OR_RETURN(
-        server->mem_backend_,
-        memidx::MemBackend::Build(mem_options, dataset.points));
+        server->mem_tree_,
+        memidx::MemRTree::BulkLoad(mem_options, /*fill=*/1.0, dataset.points));
   }
   return server;
 }
@@ -41,9 +43,11 @@ std::unique_ptr<InnSource> LbsServer::OpenInnSource(
     const geom::Point& anchor, double epsilon, size_t k,
     const GranularOptions& options) {
   if (serving_ == ServingIndex::kMemidx) {
-    return mem_backend_->OpenInnSource(anchor, epsilon, k, options);
+    return std::make_unique<memidx::MemInnStream>(mem_tree_.get(), anchor,
+                                                  epsilon, k, options);
   }
-  return OpenGranularSession(anchor, epsilon, k, options);
+  return std::make_unique<memidx::PagedInnStream>(tree_.get(), anchor,
+                                                  epsilon, k, options);
 }
 
 Result<std::vector<rtree::DataPoint>> LbsServer::CloakedQuery(

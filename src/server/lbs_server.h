@@ -8,7 +8,7 @@
 #include "datasets/dataset.h"
 #include "geom/point.h"
 #include "geom/rect.h"
-#include "memidx/mem_backend.h"
+#include "memidx/mem_rtree.h"
 #include "rtree/bulk_load.h"
 #include "rtree/entry.h"
 #include "rtree/rtree.h"
@@ -20,14 +20,16 @@
 
 namespace spacetwist::server {
 
-/// Which index structure answers the serving path (OpenInnSource).
+/// Where the serving path (OpenInnSource) reads its nodes from. Either way
+/// the stream is the same frontier kernel (memidx::FrontierInnStream), so
+/// this chooses node storage only; the reported point stream, and hence
+/// the wire bytes, are identical.
 enum class ServingIndex {
-  /// The paged R-tree through the buffer pool — the paper-fidelity I/O-cost
-  /// model; every page touch is accounted in io_stats().
+  /// The paged R-tree's pages through the buffer pool — the paper-fidelity
+  /// I/O-cost model; every page touch is accounted in io_stats().
   kPaged,
-  /// The memtx-style in-memory tree (src/memidx) — structurally isomorphic
-  /// to the paged tree, so the reported point stream (and hence the wire
-  /// bytes) is identical; only the serving latency changes.
+  /// The memtx-style in-memory tree (src/memidx), structurally isomorphic
+  /// to the paged tree: no pages, no pool.
   kMemidx,
 };
 
@@ -63,7 +65,7 @@ class LbsServer : public InnBackend {
   rtree::RTree* tree() { return tree_.get(); }
   ServingIndex serving() const { return serving_; }
   /// The in-memory serving index; null unless built with kMemidx.
-  memidx::MemBackend* mem_backend() { return mem_backend_.get(); }
+  const memidx::MemRTree* mem_tree() const { return mem_tree_.get(); }
 
   /// Cumulative storage-layer counters (the "server load" metric).
   storage::IoStats io_stats() const { return tree_->buffer_pool()->stats(); }
@@ -71,14 +73,15 @@ class LbsServer : public InnBackend {
   /// Opens a plain incremental-NN session around `anchor`.
   std::unique_ptr<InnStream> OpenInnSession(const geom::Point& anchor);
 
-  /// Opens a granular session (Algorithm 2); epsilon == 0 degenerates to
-  /// plain INN semantics.
+  /// Opens a granular session (Algorithm 2) on the paged oracle,
+  /// GranularInnStream; epsilon == 0 degenerates to plain INN semantics.
   std::unique_ptr<GranularInnStream> OpenGranularSession(
       const geom::Point& anchor, double epsilon, size_t k,
       const GranularOptions& options = GranularOptions());
 
-  /// InnBackend: the granular session behind the serving-layer interface.
-  /// Dispatches to the in-memory index when built with kMemidx.
+  /// InnBackend: the serving stream, the frontier kernel over the paged
+  /// tree's buffer pool (kPaged) or over the in-memory index (kMemidx).
+  /// Reports the oracle's point stream with the oracle's node reads.
   std::unique_ptr<InnSource> OpenInnSource(
       const geom::Point& anchor, double epsilon, size_t k,
       const GranularOptions& options) override;
@@ -99,7 +102,7 @@ class LbsServer : public InnBackend {
   std::unique_ptr<storage::Pager> pager_;
   std::unique_ptr<rtree::RTree> tree_;
   ServingIndex serving_ = ServingIndex::kPaged;
-  std::unique_ptr<memidx::MemBackend> mem_backend_;
+  std::unique_ptr<memidx::MemRTree> mem_tree_;
 };
 
 }  // namespace spacetwist::server

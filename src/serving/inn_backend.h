@@ -11,9 +11,9 @@
 
 /// The serving-backend contract, and nothing else. This interface layer
 /// exists to keep the dependency graph a DAG (tools/layering.dag): both
-/// src/server (the paged paper-fidelity backend) and src/memidx (the
-/// in-memory fast path) implement these interfaces, and src/server
-/// additionally *owns* a memidx backend for dispatch — so the interfaces
+/// src/server (the paged oracle and the LbsServer backend) and src/memidx
+/// (the serving kernel) implement these interfaces, and src/server
+/// additionally *owns* memidx streams for dispatch — so the interfaces
 /// cannot live in either without an include cycle between them. src/server
 /// re-exports everything here under spacetwist::server for its callers.
 namespace spacetwist::serving {
@@ -35,11 +35,12 @@ struct GranularOptions {
 
 /// A server-side incremental NN point stream as the serving layer sees it:
 /// the distance-ordered point source plus the trace/introspection hooks the
-/// engine's sampled-pull path needs. server::GranularInnStream is the
-/// single-server paged implementation, memidx::MemInnStream the in-memory
-/// one, shard::ScatterGatherStream the fleet one — the engine cannot tell
-/// them apart, which is what keeps clients bit-for-bit unaware of the
-/// deployment shape behind the wire protocol.
+/// engine's sampled-pull path needs. memidx::FrontierInnStream is the
+/// single-server implementation (over buffer-pool pages or the in-memory
+/// arena), shard::ScatterGatherStream the fleet one, and
+/// server::GranularInnStream the paged oracle both are checked against —
+/// the engine cannot tell them apart, which is what keeps clients
+/// bit-for-bit unaware of the deployment shape behind the wire protocol.
 class InnSource : public net::PointSource {
  public:
   /// Attaches a distributed trace for the duration of the next Next() calls

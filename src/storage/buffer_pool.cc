@@ -17,11 +17,13 @@ BufferPool::BufferPool(Pager* pager, size_t capacity, bool synchronized,
   evictions_ = r->GetCounter("storage.buffer_pool.evictions");
 }
 
-Result<BufferPool::PageHandle> BufferPool::Fetch(PageId id) {
+Result<BufferPool::PageHandle> BufferPool::Fetch(PageId id, bool* missed) {
   MutexLock lock(&mu_);
   ++stats_.logical_reads;
   auto it = map_.find(id);
-  if (it != map_.end()) {
+  const bool miss = it == map_.end();
+  if (missed != nullptr) *missed = miss;
+  if (!miss) {
     Touch(id, &it->second);
     hits_->Add();
     return it->second.page;

@@ -63,8 +63,11 @@ class BufferPool {
   }
   Pager* pager() const { return pager_; }
 
-  /// Fetches page `id`, from cache when possible.
-  Result<PageHandle> Fetch(PageId id) EXCLUDES(mu_);
+  /// Fetches page `id`, from cache when possible. When `missed` is
+  /// non-null it receives whether this fetch went to the pager — the
+  /// per-fetch answer a before/after stats() diff cannot give once other
+  /// threads share the pool.
+  Result<PageHandle> Fetch(PageId id, bool* missed = nullptr) EXCLUDES(mu_);
 
   /// Writes `page` through to disk and refreshes the cached copy.
   Status Write(PageId id, const Page& page) EXCLUDES(mu_);

@@ -3,29 +3,39 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "datasets/generator.h"
 #include "memidx/mem_inn_stream.h"
 #include "memidx/mem_rtree.h"
-#include "rtree/bulk_load.h"
+#include "rtree/node.h"
 #include "rtree/rtree.h"
 #include "server/granular_inn.h"
-#include "storage/pager.h"
+#include "server/lbs_server.h"
+#include "storage/buffer_pool.h"
+#include "storage/page.h"
+#include "telemetry/registry.h"
+#include "telemetry/trace.h"
 
 namespace spacetwist {
 namespace {
 
-/// Differential suite: the memidx serving index against the paged R-tree as
-/// oracle. Both trees are built from the same point sequence and mutated by
-/// the same seeded insert/delete interleavings; the tests then assert
+/// Differential suite: both serving streams — the frontier kernel on the
+/// memidx arena and on the paged tree's buffer-pool pages — against the
+/// paged GranularInnStream as oracle. Both trees are built from the same
+/// point sequence and mutated by the same seeded insert/delete
+/// interleavings; the tests then assert
 ///  * node-for-node structural isomorphism (slot i == page i, same entries
-///    in the same order, same float32-narrowed coordinates), and
+///    in the same order, same float32-narrowed coordinates),
 ///  * exact (distance, id) stream equality of the granular INN sessions —
 ///    every rank through exhaustion, quantized-duplicate ties included —
-/// across dataset shapes, k, epsilon, and churn. Byte-identity of the wire
-/// levels on top of these streams is pinned by memidx_wire_identity_test.cc.
+///    across dataset shapes, k, epsilon, and churn, and
+///  * for the paged serving stream, the oracle's node reads and page reads
+///    in the oracle's order.
+/// Byte-identity of the wire levels on top of these streams is pinned by
+/// memidx_wire_identity_test.cc.
 
 struct DiffCase {
   const char* dataset;  // "UI" | "CL" | "DUP"
@@ -60,18 +70,23 @@ datasets::Dataset MakeData(const std::string& kind) {
   return ds;
 }
 
+/// The paged tree lives in an LbsServer so its serving stream is exactly
+/// what OpenInnSource hands the engine. The pool is smaller than the tree,
+/// so equal physical-read counts also mean the same page-touch order.
 struct Pair {
-  std::unique_ptr<storage::Pager> pager;
-  std::unique_ptr<rtree::RTree> paged;
+  std::unique_ptr<server::LbsServer> server;
+  rtree::RTree* paged = nullptr;  ///< server->tree()
   std::unique_ptr<memidx::MemRTree> mem;
 };
 
+constexpr size_t kPoolPages = 8;
+
 Pair BuildPair(const datasets::Dataset& ds) {
   Pair pair;
-  pair.pager = std::make_unique<storage::Pager>();
-  pair.paged =
-      rtree::BulkLoad(pair.pager.get(), rtree::BulkLoadOptions(), ds.points)
-          .MoveValueOrDie();
+  rtree::RTreeOptions options;
+  options.buffer_pool_pages = kPoolPages;
+  pair.server = server::LbsServer::Build(ds, options).MoveValueOrDie();
+  pair.paged = pair.server->tree();
   pair.mem = memidx::MemRTree::BulkLoad(memidx::MemRTreeOptions(),
                                         /*fill=*/1.0, ds.points)
                  .MoveValueOrDie();
@@ -108,28 +123,28 @@ void ExpectIsomorphic(Pair* pair) {
   }
 }
 
-/// Pulls both granular sessions to exhaustion and asserts the exact
-/// (distance, id) sequence, rank by rank. `batched` additionally drives the
-/// memidx side through NextBatch(beta) pulls — the path PacketChannel uses —
-/// which must flatten to the same sequence.
-void ExpectStreamsEqual(Pair* pair, const geom::Point& anchor, double epsilon,
-                        size_t k, bool batched) {
-  server::GranularInnStream oracle(pair->paged.get(), anchor, epsilon, k,
+/// Pulls the oracle and `candidate` to exhaustion and asserts the exact
+/// (distance, id) sequence, rank by rank. `batched` drives the candidate
+/// through NextBatch(67) pulls — the path PacketChannel uses — which must
+/// flatten to the same sequence.
+template <typename Stream>
+void ExpectMatchesOracle(rtree::RTree* paged, Stream* candidate,
+                         const geom::Point& anchor, double epsilon, size_t k,
+                         bool batched) {
+  server::GranularInnStream oracle(paged, anchor, epsilon, k,
                                    server::GranularOptions());
-  memidx::MemInnStream candidate(pair->mem.get(), anchor, epsilon, k,
-                                 server::GranularOptions());
   std::vector<rtree::DataPoint> batch;
   size_t batch_next = 0;
   bool batch_dry = false;
   for (int rank = 0;; ++rank) {
     Result<rtree::DataPoint> want = oracle.Next();
     Result<rtree::DataPoint> got = [&]() -> Result<rtree::DataPoint> {
-      if (!batched) return candidate.Next();
+      if (!batched) return candidate->Next();
       if (batch_next == batch.size()) {
         if (batch_dry) return Status::Exhausted("dry");
         batch.clear();
         batch_next = 0;
-        const Status s = candidate.NextBatch(67, &batch);
+        const Status s = candidate->NextBatch(67, &batch);
         if (!s.ok()) return s;
         batch_dry = batch.size() < 67;
         if (batch.empty()) return Status::Exhausted("dry");
@@ -148,17 +163,100 @@ void ExpectStreamsEqual(Pair* pair, const geom::Point& anchor, double epsilon,
     // oracle's rank, so the per-rank distance check only holds unbatched.
     if (!batched) {
       EXPECT_EQ(oracle.last_report_distance(),
-                candidate.last_report_distance());
+                candidate->last_report_distance());
     }
   }
-  // The memidx frontier prunes dominated same-cell points at push time, so
-  // it pops at most as many entries as the oracle — but its expansion
-  // decisions must be identical (the filter state coincides at every node
-  // pop), and its eviction tail can only lag (fewer pops means fewer
-  // intermediate frontiers handed to EvictUpTo).
-  EXPECT_EQ(oracle.node_reads(), candidate.node_reads());
-  EXPECT_LE(candidate.heap_pops(), oracle.heap_pops());
-  EXPECT_LE(candidate.cells_evicted(), oracle.cells_evicted());
+  // The kernel prunes dominated same-cell points at push time, so it pops
+  // at most as many entries as the oracle — but its expansion decisions
+  // must be identical (the filter state coincides at every node pop), and
+  // its eviction tail can only lag (fewer pops means fewer intermediate
+  // frontiers handed to EvictUpTo).
+  EXPECT_EQ(oracle.node_reads(), candidate->node_reads());
+  EXPECT_LE(candidate->heap_pops(), oracle.heap_pops());
+  EXPECT_LE(candidate->cells_evicted(), oracle.cells_evicted());
+}
+
+void ExpectStreamsEqual(Pair* pair, const geom::Point& anchor, double epsilon,
+                        size_t k, bool batched) {
+  memidx::MemInnStream candidate(pair->mem.get(), anchor, epsilon, k,
+                                 server::GranularOptions());
+  ExpectMatchesOracle(pair->paged, &candidate, anchor, epsilon, k, batched);
+}
+
+/// The stream LbsServer::OpenInnSource serves for ServingIndex::kPaged.
+std::unique_ptr<memidx::PagedInnStream> OpenPagedServing(
+    Pair* pair, const geom::Point& anchor, double epsilon, size_t k,
+    const server::GranularOptions& options) {
+  std::unique_ptr<server::InnSource> source =
+      pair->server->OpenInnSource(anchor, epsilon, k, options);
+  auto* paged = dynamic_cast<memidx::PagedInnStream*>(source.get());
+  if (paged == nullptr) return nullptr;
+  source.release();
+  return std::unique_ptr<memidx::PagedInnStream>(paged);
+}
+
+/// The paged serving stream against the oracle on the same tree: the exact
+/// stream unbatched and through NextBatch(67), then page-level parity with
+/// each stream run alone from a Clear()ed pool — equal node reads, equal
+/// logical and physical page reads (the pool is smaller than the tree, so
+/// that pins the page-touch order), no more heap pops — and, per pull,
+/// registry counters flushed once with pops >= node reads + points.
+void ExpectPagedServingMatchesOracle(Pair* pair, const geom::Point& anchor,
+                                     double epsilon, size_t k) {
+  for (const bool batched : {false, true}) {
+    std::unique_ptr<memidx::PagedInnStream> stream =
+        OpenPagedServing(pair, anchor, epsilon, k, server::GranularOptions());
+    ASSERT_NE(stream, nullptr) << "kPaged must serve the frontier kernel";
+    ExpectMatchesOracle(pair->paged, stream.get(), anchor, epsilon, k,
+                        batched);
+  }
+
+  storage::BufferPool* pool = pair->paged->buffer_pool();
+  pool->Clear();
+  const storage::IoStats oracle_before = pool->stats();
+  server::GranularInnStream oracle(pair->paged, anchor, epsilon, k);
+  while (oracle.Next().ok()) {
+  }
+  const storage::IoStats oracle_after = pool->stats();
+
+  pool->Clear();
+  telemetry::MetricRegistry registry;
+  server::GranularOptions options;
+  options.registry = &registry;
+  std::unique_ptr<memidx::PagedInnStream> stream =
+      OpenPagedServing(pair, anchor, epsilon, k, options);
+  ASSERT_NE(stream, nullptr);
+  telemetry::Counter* pops_metric =
+      registry.GetCounter("server.granular.heap_pops");
+  telemetry::Counter* reads_metric =
+      registry.GetCounter("server.granular.node_reads");
+  telemetry::Counter* points_metric =
+      registry.GetCounter("server.granular.points_reported");
+  const storage::IoStats before = pool->stats();
+  std::vector<rtree::DataPoint> batch;
+  do {
+    batch.clear();
+    const uint64_t pops = stream->heap_pops();
+    const uint64_t reads = stream->node_reads();
+    const uint64_t metric_pops = pops_metric->value();
+    const uint64_t metric_reads = reads_metric->value();
+    const uint64_t metric_points = points_metric->value();
+    ASSERT_TRUE(stream->NextBatch(67, &batch).ok());
+    const uint64_t pull_pops = stream->heap_pops() - pops;
+    const uint64_t pull_reads = stream->node_reads() - reads;
+    EXPECT_GE(pull_pops, pull_reads + batch.size());
+    EXPECT_EQ(pops_metric->value() - metric_pops, pull_pops);
+    EXPECT_EQ(reads_metric->value() - metric_reads, pull_reads);
+    EXPECT_EQ(points_metric->value() - metric_points, batch.size());
+  } while (batch.size() == 67);
+  const storage::IoStats after = pool->stats();
+
+  EXPECT_EQ(stream->node_reads(), oracle.node_reads());
+  EXPECT_LE(stream->heap_pops(), oracle.heap_pops());
+  EXPECT_EQ(after.logical_reads - before.logical_reads,
+            oracle_after.logical_reads - oracle_before.logical_reads);
+  EXPECT_EQ(after.physical_reads - before.physical_reads,
+            oracle_after.physical_reads - oracle_before.physical_reads);
 }
 
 class IndexDifferentialTest : public ::testing::TestWithParam<DiffCase> {};
@@ -173,6 +271,7 @@ TEST_P(IndexDifferentialTest, BulkLoadedTreesIsomorphicAndStreamsExact) {
   for (const geom::Point& anchor : anchors) {
     ExpectStreamsEqual(&pair, anchor, c.epsilon, c.k, /*batched=*/false);
     ExpectStreamsEqual(&pair, anchor, c.epsilon, c.k, /*batched=*/true);
+    ExpectPagedServingMatchesOracle(&pair, anchor, c.epsilon, c.k);
   }
 }
 
@@ -218,12 +317,14 @@ TEST_P(IndexDifferentialTest, ChurnedTreesStayIsomorphicAndStreamsExact) {
       ExpectIsomorphic(&pair);
       ExpectStreamsEqual(&pair, {5000, 5000}, c.epsilon, c.k,
                          /*batched=*/op % 300 == 299);
+      ExpectPagedServingMatchesOracle(&pair, {5000, 5000}, c.epsilon, c.k);
     }
   }
   ExpectIsomorphic(&pair);
   for (const geom::Point& anchor :
        {geom::Point{250, 250}, geom::Point{8000, 1000}}) {
     ExpectStreamsEqual(&pair, anchor, c.epsilon, c.k, /*batched=*/true);
+    ExpectPagedServingMatchesOracle(&pair, anchor, c.epsilon, c.k);
   }
 }
 
@@ -234,6 +335,117 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{"CL", 16, 500.0}, DiffCase{"DUP", 1, 0.0},
                       DiffCase{"DUP", 16, 500.0}),
     CaseName);
+
+/// Rewrites page `id` in place with an entry count one past its level's
+/// capacity.
+void OverfillPage(rtree::RTree* tree, storage::PageId id) {
+  storage::BufferPool* pool = tree->buffer_pool();
+  storage::Page page = *pool->Fetch(id).MoveValueOrDie();
+  const size_t cap = page.GetU8(0) == 0 ? tree->leaf_capacity()
+                                        : tree->branch_capacity();
+  page.PutU16(2, static_cast<uint16_t>(cap + 1));
+  ASSERT_TRUE(pool->Write(id, page).ok());
+}
+
+/// A page claiming more entries than fit is kCorruption from NextBatch —
+/// the page store's capacity check — never a read past the page or the
+/// leaf scratch arrays.
+TEST(PagedServingStreamTest, OverfullPageIsCorruption) {
+  for (const bool leaf : {true, false}) {
+    Pair pair = BuildPair(MakeData("UI"));
+    rtree::Node root;
+    ASSERT_TRUE(pair.paged->ReadNode(pair.paged->root(), &root).ok());
+    ASSERT_FALSE(root.IsLeaf());
+    storage::PageId victim = pair.paged->root();
+    if (leaf) {
+      rtree::Node node = root;
+      while (!node.IsLeaf()) {
+        victim = node.branches[0].child;
+        ASSERT_TRUE(pair.paged->ReadNode(victim, &node).ok());
+      }
+    }
+    OverfillPage(pair.paged, victim);
+    std::unique_ptr<memidx::PagedInnStream> stream = OpenPagedServing(
+        &pair, {0, 0}, 0.0, 1, server::GranularOptions());
+    ASSERT_NE(stream, nullptr);
+    std::vector<rtree::DataPoint> batch;
+    Status status;
+    do {
+      batch.clear();
+      status = stream->NextBatch(67, &batch);
+    } while (status.ok() && batch.size() == 67);
+    EXPECT_TRUE(status.IsCorruption())
+        << (leaf ? "leaf" : "branch") << ": " << status.ToString();
+  }
+}
+
+/// Every "server.page.fetch" span notes whether *that* fetch missed, even
+/// while other threads fetch through the same pool: each note is 0 or 1,
+/// and the notes of all threads add up to the pool's physical reads.
+TEST(PagedServingStreamTest, ConcurrentMissNotesAreExactPerFetch) {
+  const datasets::Dataset ds = MakeData("UI");
+  rtree::RTreeOptions options;
+  options.buffer_pool_pages = 16;
+  options.concurrent_reads = true;
+  std::unique_ptr<server::LbsServer> lbs =
+      server::LbsServer::Build(ds, options).MoveValueOrDie();
+  storage::BufferPool* pool = lbs->tree()->buffer_pool();
+  const uint64_t physical_before = pool->stats().physical_reads;
+
+  constexpr int kThreads = 4;
+  std::vector<std::unique_ptr<telemetry::Trace>> traces;
+  std::vector<Status> failures(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    traces.push_back(std::make_unique<telemetry::Trace>());
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) + 1);
+      std::vector<rtree::DataPoint> batch;
+      for (int q = 0; q < 12; ++q) {
+        const geom::Point anchor{rng.Uniform(0, 10000), rng.Uniform(0, 10000)};
+        // Alternate the serving kernel and the oracle: both note misses.
+        std::unique_ptr<server::InnSource> source =
+            q % 2 == 0
+                ? lbs->OpenInnSource(anchor, 50.0, 4, server::GranularOptions())
+                : std::unique_ptr<server::InnSource>(
+                      lbs->OpenGranularSession(anchor, 50.0, 4));
+        source->set_trace(traces[static_cast<size_t>(t)].get());
+        for (int pull = 0; pull < 3; ++pull) {
+          batch.clear();
+          const Status s = source->NextBatch(67, &batch);
+          if (!s.ok()) failures[static_cast<size_t>(t)] = s;
+        }
+        source->set_trace(nullptr);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  uint64_t fetches = 0;
+  uint64_t misses = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(failures[static_cast<size_t>(t)].ok())
+        << failures[static_cast<size_t>(t)].ToString();
+    for (const telemetry::SpanRecord& span :
+         traces[static_cast<size_t>(t)]->records()) {
+      if (span.name != "server.page.fetch") continue;
+      ++fetches;
+      bool noted = false;
+      for (const auto& [key, value] : span.notes) {
+        if (key != "miss") continue;
+        noted = true;
+        EXPECT_LE(value, 1u);
+        misses += value;
+      }
+      EXPECT_TRUE(noted);
+    }
+  }
+  EXPECT_GT(fetches, misses);
+  EXPECT_GT(misses, 0u);
+  EXPECT_EQ(misses, pool->stats().physical_reads - physical_before);
+}
 
 }  // namespace
 }  // namespace spacetwist

@@ -62,7 +62,7 @@ TEST(MemidxWireIdentityTest, SingleServerDigestsMatchPagedReference) {
   auto memidx = server::LbsServer::Build(dataset, rtree_options,
                                          server::ServingIndex::kMemidx)
                     .MoveValueOrDie();
-  ASSERT_NE(memidx->mem_backend(), nullptr);
+  ASSERT_NE(memidx->mem_tree(), nullptr);
   service::ServiceOptions engine_options;
   engine_options.max_sessions = kClients * 2;
   service::ServiceEngine engine(memidx.get(), engine_options);

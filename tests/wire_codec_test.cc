@@ -320,5 +320,42 @@ TEST(WireCodecTest, OversizedSpanListIsClampedToValidFrame) {
   EXPECT_EQ(span.notes[0].second, 0u);
 }
 
+/// Bit-at-a-time CRC-32 (reflected polynomial 0xEDB88320): the reference
+/// the table-driven frame checksum must reproduce.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
+    }
+  }
+  return ~crc;
+}
+
+TEST(WireCodecTest, Crc32KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check.data()),
+                  check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(WireCodecTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..2048 from start offsets 0..7 cover every 8-byte block count,
+  // every tail length, and every alignment of the block loads.
+  constexpr size_t kMaxLen = 2048;
+  Rng rng(20080407);
+  std::vector<uint8_t> buf(kMaxLen + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(Crc32(buf.data() + offset, len),
+                BitwiseCrc32(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace spacetwist::net
