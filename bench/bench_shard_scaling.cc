@@ -16,6 +16,7 @@
 #include "eval/load_generator.h"
 #include "eval/table.h"
 #include "shard/router.h"
+#include "telemetry/metric.h"
 
 namespace spacetwist::bench {
 namespace {
@@ -64,6 +65,16 @@ void Run() {
         record->shard_pulls = fanout->shard_pulls;
       }
     };
+    // Every fleet counts its pulls into the same default-registry
+    // shard.<i>.pulls counters, so each fleet's share is the delta around
+    // its run.
+    std::vector<telemetry::Counter*> pull_counters;
+    std::vector<uint64_t> pulls_before;
+    for (size_t i = 0; i < shards; ++i) {
+      pull_counters.push_back(
+          rt->registry()->GetCounter(StrFormat("shard.%zu.pulls", i)));
+      pulls_before.push_back(pull_counters.back()->value());
+    }
     auto report = eval::RunLoad(rt->front(), schedule, load);
     load.fanout_probe = nullptr;
     SPACETWIST_CHECK(report.ok()) << report.status().ToString();
@@ -82,7 +93,7 @@ void Run() {
                         : static_cast<double>(fanout_sum) /
                               static_cast<double>(report->tradeoffs.size());
     for (size_t i = 0; i < shards; ++i) {
-      m.per_shard_pulls.push_back(rt->shard_engine(i)->metrics().pull_requests);
+      m.per_shard_pulls.push_back(pull_counters[i]->value() - pulls_before[i]);
       m.shard_points.push_back(
           rt->partitioner().partition(i).dataset.points.size());
     }

@@ -31,8 +31,7 @@ extern Mutex kFaultyTransport;
 extern Mutex kEventTransport ACQUIRED_AFTER(kFaultyTransport);
 extern Mutex kThreadPool ACQUIRED_AFTER(kEventTransport);
 extern Mutex kEngineFront ACQUIRED_AFTER(kThreadPool);
-extern Mutex kEngineShard ACQUIRED_AFTER(kEngineFront);
-extern Mutex kRouterFanout ACQUIRED_AFTER(kEngineShard);
+extern Mutex kRouterFanout ACQUIRED_AFTER(kEngineFront);
 extern Mutex kTraceSink ACQUIRED_AFTER(kRouterFanout);
 extern Mutex kFlightRecorder ACQUIRED_AFTER(kTraceSink);
 extern Mutex kBufferPool ACQUIRED_AFTER(kFlightRecorder);

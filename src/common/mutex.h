@@ -20,14 +20,12 @@ namespace spacetwist {
 ///
 ///   FaultyTransport::RoundTrip holds its schedule lock across
 ///   inner->HandleFrame          -> kFaultyTransport before everything;
-///   engine front stripes nest shard-engine stripes (scatter-gather pulls
-///   and stream-destructor closes run under the front stripe)
-///                               -> kEngineFront before kEngineShard;
-///   a retiring merged stream folds into the router's fan-out log
-///                               -> kEngineShard before kRouterFanout;
+///   a merged stream retiring under an engine stripe folds into the
+///   router's fan-out log        -> kEngineFront before kRouterFanout;
 ///   Absorb offers a retiring session's spans to the trace sink and
-///   stream traversal fetches R-tree pages, both under a stripe
-///                               -> engine ranks before kTraceSink /
+///   stream traversal (a scatter-gather merge's shard streams included)
+///   fetches R-tree pages, both under a stripe
+///                               -> kEngineFront before kTraceSink /
 ///                                  kBufferPool;
 ///   instrument registration may happen under any of the above
 ///                               -> kMetricRegistry is the innermost.
@@ -43,8 +41,7 @@ enum class LockRank : int {
   kFaultyTransport = 100,  ///< net::FaultyTransport schedule (outermost)
   kEventTransport = 150,   ///< engine::InProcessEventTransport queues
   kThreadPool = 200,       ///< service::ThreadPool queue
-  kEngineFront = 500,      ///< ServiceEngine stripes, client-facing engine
-  kEngineShard = 600,      ///< ServiceEngine stripes inside a shard fleet
+  kEngineFront = 500,      ///< ServiceEngine session-table stripes
   kRouterFanout = 700,     ///< shard::ShardRouter fan-out log
   kTraceSink = 800,        ///< telemetry::TraceSink buffer
   kFlightRecorder = 850,   ///< telemetry::FlightRecorder ring
@@ -60,8 +57,8 @@ namespace lock_rank_internal {
 /// Debug-mode runtime enforcer: each thread keeps a stack of the ranked
 /// locks it holds. Acquiring a rank <= the deepest held rank aborts with
 /// both lock names — the deterministic cross-TU complement to the static
-/// acquired_before/after analysis (which cannot see e.g. the
-/// router -> shard-engine pulls behind an InnSource virtual call). Compiled
+/// acquired_before/after analysis (which cannot see e.g. the stripe ->
+/// fan-out log nesting behind an InnSource virtual destructor). Compiled
 /// out entirely when SPACETWIST_LOCK_RANK_CHECKS is OFF (release builds),
 /// so the discipline costs nothing where it is not being checked.
 void OnAcquire(const Mutex* mu, int rank, const char* name);

@@ -50,7 +50,7 @@ struct TradeoffRecord {
 
   // Scale-out: the router's fan-out leg of the trade-off (0/0 when the
   // backend is a single server). Populated via LoadOptions::fanout_probe.
-  uint32_t fanout = 0;        ///< shard sessions the query opened
+  uint32_t fanout = 0;        ///< shard streams the query opened
   uint64_t shard_pulls = 0;   ///< shard packets the router pulled for it
 
   // Fault/retry events the client observed while running the query.

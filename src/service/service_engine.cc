@@ -37,7 +37,7 @@ ServiceEngine::ServiceEngine(server::InnBackend* backend,
   SPACETWIST_CHECK(options_.max_sessions >= 1);
   const size_t num_shards = std::max<size_t>(1, options_.num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
-    shards_.emplace_back(options_.lock_rank);
+    shards_.emplace_back();
   }
   telemetry::MetricRegistry* r =
       telemetry::MetricRegistry::OrDefault(options_.registry);
@@ -150,20 +150,6 @@ Result<net::Packet> ServiceEngine::Pull(uint64_t session_id, uint64_t seq) {
         "session %llu", static_cast<unsigned long long>(session_id)));
   }
   return PullLocked(&shard, &it->second, seq, nullptr);
-}
-
-Result<net::Packet> ServiceEngine::Pull(uint64_t session_id, uint64_t seq,
-                                        telemetry::Trace* trace) {
-  Shard& shard = ShardFor(session_id);
-  MutexLock lock(&shard.mu);
-  auto it = shard.sessions.find(session_id);
-  if (it == shard.sessions.end()) {
-    counters_.pull_requests.fetch_add(1, kRelaxed);
-    instruments_.pull_requests->Add();
-    return Status::NotFound(StrFormat(
-        "session %llu", static_cast<unsigned long long>(session_id)));
-  }
-  return PullLocked(&shard, &it->second, seq, trace);
 }
 
 Result<net::Packet> ServiceEngine::PullLocked(Shard* /*shard*/, Session* session,

@@ -53,12 +53,6 @@ struct ServiceOptions {
   /// destruction). Null disables server-side retention; span piggybacking
   /// to the client is independent of it. Must outlive the engine.
   telemetry::TraceSink* trace_sink = nullptr;
-  /// Lock rank of the engine's session-table stripes. The client-facing
-  /// engine keeps the default; the shard router builds its per-shard
-  /// engines with kEngineShard because a front stripe is held across the
-  /// scatter-gather pulls into the shard engines (docs/ANALYSIS.md,
-  /// Lock ranks).
-  LockRank lock_rank = LockRank::kEngineFront;
 };
 
 /// Snapshot of the engine's counters. Transport totals cover closed,
@@ -127,15 +121,6 @@ class ServiceEngine : public net::FrameHandler {
   /// out of the replay window and yields kInvalidArgument.
   Result<net::Packet> Pull(uint64_t session_id, uint64_t seq);
 
-  /// Sequenced pull under a caller-owned distributed trace: the stream
-  /// advance is recorded on `trace` exactly like a sampled wire pull
-  /// ("server.granular.scan" span, nested page fetches / shard pulls), but
-  /// no spans are parked on the session for piggybacking — the caller owns
-  /// the whole trace tree. This is how the shard router pulls from its
-  /// shard engines while keeping router→shard spans in one tree.
-  Result<net::Packet> Pull(uint64_t session_id, uint64_t seq,
-                           telemetry::Trace* trace);
-
   /// Closes a session. Not idempotent: a second Close (or a Close after
   /// eviction) is kNotFound so misbehaving clients are surfaced.
   Status Close(uint64_t session_id);
@@ -186,18 +171,12 @@ class ServiceEngine : public net::FrameHandler {
   };
 
   struct Shard {
-    explicit Shard(LockRank rank)
-        : mu(rank, rank == LockRank::kEngineShard
-                       ? "service.engine.shard_stripe"
-                       : "service.engine.front_stripe") {}
-
-    // Rank: ServiceOptions::lock_rank — kEngineFront for the client-facing
-    // engine, kEngineShard inside a router's fleet. One declaration covers
-    // both levels, so the static annotation spans them; the runtime
-    // enforcer checks the exact per-instance rank (front stripes are held
-    // across scatter-gather pulls into shard stripes).
+    // Rank: held across a session's stream advance and retirement, so page
+    // fetches, trace-sink offers and a shard router's fan-out log all nest
+    // inside it.
     mutable Mutex mu ACQUIRED_AFTER(lock_order::kEngineFront)
-        ACQUIRED_BEFORE(lock_order::kRouterFanout);
+        ACQUIRED_BEFORE(lock_order::kRouterFanout){
+            LockRank::kEngineFront, "service.engine.front_stripe"};
     std::unordered_map<uint64_t, Session> sessions GUARDED_BY(mu);
   };
 

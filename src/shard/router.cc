@@ -32,7 +32,6 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Build(
   const size_t n = router->partitioner_->num_shards();
   router->servers_.reserve(n);
   router->shard_registries_.reserve(n);
-  router->engines_.reserve(n);
   router->shard_pull_counters_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     const ShardPartition& part = router->partitioner_->partition(i);
@@ -44,23 +43,9 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Build(
         std::unique_ptr<server::LbsServer> server,
         server::LbsServer::Build(part.dataset, tree_options,
                                  options.serving));
-
-    auto shard_registry = std::make_unique<telemetry::MetricRegistry>();
-    service::ServiceOptions engine_options;
-    engine_options.packet = options.shard_packet;
-    // Each client session can hold one session on every shard, so the
-    // fleet-side cap scales the front cap by the fleet size.
-    engine_options.max_sessions = options.front.max_sessions * n;
-    engine_options.idle_ttl_ns = options.front.idle_ttl_ns;
-    engine_options.clock = options.front.clock;
-    engine_options.registry = shard_registry.get();
-    // Shard-engine stripes sit one lock-rank level below the front stripes
-    // that are held across the scatter-gather pulls into them.
-    engine_options.lock_rank = LockRank::kEngineShard;
-    router->engines_.push_back(std::make_unique<service::ServiceEngine>(
-        server.get(), engine_options));
     router->servers_.push_back(std::move(server));
-    router->shard_registries_.push_back(std::move(shard_registry));
+    router->shard_registries_.push_back(
+        std::make_unique<telemetry::MetricRegistry>());
   }
 
   service::ServiceOptions front_options = options.front;
@@ -72,20 +57,15 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Build(
   return router;
 }
 
-ShardRouter::~ShardRouter() {
-  // The fronting engine must retire its sessions (each holding shard
-  // sessions via a ScatterGatherStream) before the shard engines go away.
-  front_.reset();
-}
-
 std::unique_ptr<server::InnSource> ShardRouter::OpenInnSource(
     const geom::Point& anchor, double epsilon, size_t k,
     const server::GranularOptions& options) {
   std::vector<ScatterGatherStream::ShardTarget> targets;
-  targets.reserve(engines_.size());
-  for (size_t i = 0; i < engines_.size(); ++i) {
+  targets.reserve(servers_.size());
+  for (size_t i = 0; i < servers_.size(); ++i) {
     ScatterGatherStream::ShardTarget t;
-    t.engine = engines_[i].get();
+    t.server = servers_[i].get();
+    t.registry = shard_registries_[i].get();
     t.partition = &partitioner_->partition(i);
     t.pulls = shard_pull_counters_[i];
     targets.push_back(t);

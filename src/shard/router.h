@@ -14,7 +14,6 @@
 #include "common/thread_annotations.h"
 #include "datasets/dataset.h"
 #include "geom/point.h"
-#include "net/packet.h"
 #include "net/wire.h"
 #include "rtree/rtree.h"
 #include "server/inn_backend.h"
@@ -31,28 +30,25 @@ struct ShardRouterOptions {
   /// the router overhead is then pure indirection).
   size_t num_shards = 4;
   HilbertRangePartitioner::Options partition;
-  /// Per-shard R-tree build options; `concurrent_reads` is forced on (the
-  /// shard engines serve many sessions at once).
+  /// Per-shard R-tree build options; `concurrent_reads` is forced on (many
+  /// queries' shard streams read a shard at once).
   rtree::RTreeOptions rtree;
   /// Which index each shard serves from (paged R-tree or the in-memory
   /// mirror); the merged output stream is byte-identical either way.
   server::ServingIndex serving = server::ServingIndex::kPaged;
-  /// Router <-> shard packet sizing. Defaults to the wire beta = 67; a
-  /// larger internal packet amortizes shard pulls without changing output.
-  net::PacketConfig shard_packet;
   /// Options for the fronting ServiceEngine (the one clients talk to). Its
   /// granular registry defaults to `registry` below, so the router's
   /// shard.router.* stream counters land next to its fan-out instruments.
   service::ServiceOptions front;
   /// Registry for the router-level instruments — shard.router.fanout,
   /// shard.<i>.pulls, shard.partition.points (null = process default).
-  /// Each shard engine additionally gets its own private registry
-  /// (shard_registry(i)) so per-shard occupancy is inspectable.
+  /// Each shard additionally gets its own private registry
+  /// (shard_registry(i)) holding its streams' server.granular.* counters.
   telemetry::MetricRegistry* registry = nullptr;
 };
 
 /// Per-query fan-out numbers, aggregated across a query's (possibly
-/// retried) merged streams: how many distinct shard sessions the widest
+/// retried) merged streams: how many distinct shard streams the widest
 /// attempt opened and how many shard packets all attempts pulled.
 struct QueryFanout {
   uint32_t fanout = 0;
@@ -61,21 +57,22 @@ struct QueryFanout {
 
 /// Scale-out deployment of the SpaceTwist server (src/shard): the dataset
 /// is split into `num_shards` contiguous Hilbert-key ranges, each served by
-/// its own LbsServer + ServiceEngine (own R-tree, own session table, own
-/// metric registry), and this router fronts the fleet behind the unchanged
-/// v3 wire protocol. Per query it opens shard sessions lazily — only for
-/// shards whose partition rectangle intersects the growing supply disk —
-/// and k-way merges the per-shard INN streams (ScatterGatherStream) into
-/// one globally distance-ordered, cell-filtered stream. Clients receive
-/// byte-for-byte the packets a single server would have sent.
+/// its own LbsServer (own R-tree, own metric registry), and this router
+/// fronts the fleet behind the unchanged v3 wire protocol with one
+/// ServiceEngine. Each client session draws from a ScatterGatherStream that
+/// opens shard streams lazily — only on shards whose partition rectangle
+/// intersects the growing supply disk — owns them for the life of the
+/// query, and k-way merges them into one globally distance-ordered,
+/// cell-filtered stream. Clients receive byte-for-byte the packets a single
+/// server would have sent.
 ///
-/// Thread safety: Build-time state (partitions, servers, engines) is
+/// Thread safety: Build-time state (partitions, servers, registries) is
 /// immutable afterwards; the fan-out log has its own mutex. Lock order is
-/// front-engine stripe -> shard-engine stripe -> fan-out log mutex (stream
-/// destructors run under a front stripe and close shard sessions, then
-/// retire into the log); nothing takes them in reverse. That order is the
-/// kEngineFront < kEngineShard < kRouterFanout segment of the global
-/// lock-rank table (docs/ANALYSIS.md, Lock ranks) and is machine-enforced.
+/// front-engine stripe -> fan-out log mutex (a merged stream pulls its
+/// shard streams and retires into the log under its session's stripe);
+/// nothing takes them in reverse. That order is the kEngineFront <
+/// kRouterFanout segment of the global lock-rank table (docs/ANALYSIS.md,
+/// Lock ranks) and is machine-enforced.
 class ShardRouter : public net::FrameHandler, public server::InnBackend {
  public:
   /// Partitions `dataset` and builds the fleet. Fails on an unbuildable
@@ -84,8 +81,6 @@ class ShardRouter : public net::FrameHandler, public server::InnBackend {
   static Result<std::unique_ptr<ShardRouter>> Build(
       const datasets::Dataset& dataset,
       const ShardRouterOptions& options = ShardRouterOptions());
-
-  ~ShardRouter() override;
 
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
@@ -107,7 +102,6 @@ class ShardRouter : public net::FrameHandler, public server::InnBackend {
 
   size_t num_shards() const { return partitioner_->num_shards(); }
   const HilbertRangePartitioner& partitioner() const { return *partitioner_; }
-  service::ServiceEngine* shard_engine(size_t i) { return engines_[i].get(); }
   server::LbsServer* shard_server(size_t i) { return servers_[i].get(); }
   telemetry::MetricRegistry* shard_registry(size_t i) {
     return shard_registries_[i].get();
@@ -142,7 +136,6 @@ class ShardRouter : public net::FrameHandler, public server::InnBackend {
   std::optional<HilbertRangePartitioner> partitioner_;
   std::vector<std::unique_ptr<server::LbsServer>> servers_;
   std::vector<std::unique_ptr<telemetry::MetricRegistry>> shard_registries_;
-  std::vector<std::unique_ptr<service::ServiceEngine>> engines_;
 
   telemetry::MetricRegistry* registry_ = nullptr;
   telemetry::Histogram* fanout_hist_ = nullptr;
@@ -150,7 +143,7 @@ class ShardRouter : public net::FrameHandler, public server::InnBackend {
   std::vector<telemetry::Counter*> shard_pull_counters_;
 
   // Rank: a retiring merged stream folds into this log while its owning
-  // front stripe (and, transiently, shard stripes) are held above it.
+  // front stripe is held above it.
   mutable Mutex fanout_mu_ ACQUIRED_AFTER(lock_order::kRouterFanout)
       ACQUIRED_BEFORE(lock_order::kTraceSink){LockRank::kRouterFanout,
                                               "shard.router.fanout"};
@@ -158,8 +151,8 @@ class ShardRouter : public net::FrameHandler, public server::InnBackend {
       fanout_log_ GUARDED_BY(fanout_mu_);
 
   /// Declared last: destroyed first, so every client session (and with it
-  /// every ScatterGatherStream holding shard sessions) retires while the
-  /// shard engines are still alive.
+  /// every ScatterGatherStream and its shard streams) retires while the
+  /// shard servers, registries and fan-out log are still alive.
   std::unique_ptr<service::ServiceEngine> front_;
 };
 

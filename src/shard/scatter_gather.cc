@@ -1,6 +1,7 @@
 #include "shard/scatter_gather.h"
 
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
@@ -26,7 +27,7 @@ ScatterGatherStream::ScatterGatherStream(
   SPACETWIST_CHECK(k >= 1);
   shards_.reserve(targets.size());
   for (ShardTarget& t : targets) {
-    SPACETWIST_CHECK(t.engine != nullptr);
+    SPACETWIST_CHECK(t.server != nullptr);
     SPACETWIST_CHECK(t.partition != nullptr);
     ShardState s;
     s.target = t;
@@ -44,34 +45,31 @@ ScatterGatherStream::ScatterGatherStream(
 }
 
 ScatterGatherStream::~ScatterGatherStream() {
-  for (ShardState& s : shards_) {
-    if (s.opened && !s.exhausted) {
-      // Best effort: the shard engine also reclaims abandoned sessions via
-      // its idle sweep, so a failed close cannot leak.
-      (void)s.target.engine->Close(s.session_id);
-    }
-  }
   if (on_retire_ != nullptr) on_retire_(anchor_, stats_);
 }
 
 double ScatterGatherStream::LowerBound(const ShardState& s) const {
   if (s.exhausted) return kInf;
-  if (!s.opened) return geom::MinDist(anchor_, s.target.partition->bounds);
+  if (s.channel == nullptr) {
+    return geom::MinDist(anchor_, s.target.partition->bounds);
+  }
   if (!s.buffer.empty()) return s.buffer.front().distance;
   return s.floor;
 }
 
 Status ScatterGatherStream::Fill(ShardState* s, size_t shard_index) {
-  service::ServiceEngine* engine = s->target.engine;
-  if (!s->opened) {
+  if (s->channel == nullptr) {
     telemetry::Trace::Span open =
         telemetry::Trace::SpanOn(trace_, "router.shard.open");
     open.Note("shard", shard_index);
     // Shard streams pre-filter with the query's own cell cap; the router
     // still applies the global one — see the class comment.
-    SPACETWIST_ASSIGN_OR_RETURN(s->session_id,
-                                engine->Open(anchor_, epsilon_, k_));
-    s->opened = true;
+    server::GranularOptions options;
+    options.registry = s->target.registry;
+    s->stream =
+        s->target.server->OpenInnSource(anchor_, epsilon_, k_, options);
+    s->channel = std::make_unique<net::PacketChannel>(s->stream.get(),
+                                                      net::PacketConfig());
     ++stats_.fanout;
     opens_metric_->Add();
   }
@@ -79,21 +77,29 @@ Status ScatterGatherStream::Fill(ShardState* s, size_t shard_index) {
       telemetry::Trace::SpanOn(trace_, "router.shard.pull");
   pull.Note("shard", shard_index);
   pull.Note("seq", s->next_seq);
-  Result<net::Packet> packet = engine->Pull(s->session_id, s->next_seq, trace_);
+  // The shard stream's page fetches nest under this span, which notes the
+  // work the packet cost (notes on an untraced span are no-ops).
+  server::InnSource* stream = s->stream.get();
+  const uint64_t pops_before = stream->heap_pops();
+  const uint64_t reads_before = stream->node_reads();
+  stream->set_trace(trace_);
+  Result<net::Packet> packet = s->channel->NextPacket();
+  stream->set_trace(nullptr);
+  pull.Note("heap_pops", stream->heap_pops() - pops_before);
+  pull.Note("node_reads", stream->node_reads() - reads_before);
+  pull.Note("points", packet.ok() ? packet->points.size() : 0);
   ++stats_.shard_pulls;
   pulls_metric_->Add();
   if (s->target.pulls != nullptr) s->target.pulls->Add();
   if (!packet.ok()) {
-    if (packet.status().IsExhausted()) {
-      pull.Note("exhausted", 1);
-      s->exhausted = true;
-      SPACETWIST_RETURN_NOT_OK(engine->Close(s->session_id));
-      return Status::OK();
-    }
-    return packet.status();
+    if (!packet.status().IsExhausted()) return packet.status();
+    pull.Note("exhausted", 1);
+    s->exhausted = true;
+    s->channel.reset();
+    s->stream.reset();
+    return Status::OK();
   }
   ++s->next_seq;
-  pull.Note("points", packet->points.size());
   for (const rtree::DataPoint& p : packet->points) {
     rtree::Neighbor n;
     n.point = p;

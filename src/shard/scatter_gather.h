@@ -4,16 +4,17 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
 #include "geom/point.h"
 #include "geom/rect.h"
+#include "net/channel.h"
 #include "rtree/entry.h"
 #include "server/cell_filter.h"
 #include "server/granular_inn.h"
 #include "server/inn_backend.h"
-#include "service/service_engine.h"
 #include "shard/hilbert_partitioner.h"
 #include "telemetry/registry.h"
 #include "telemetry/trace.h"
@@ -21,7 +22,7 @@
 namespace spacetwist::shard {
 
 /// Per-query fan-out accounting for one merged stream: how many shard
-/// sessions the query actually opened (<= N thanks to rectangle pruning and
+/// streams the query actually opened (<= N thanks to rectangle pruning and
 /// lazy opening) and how many shard packets it pulled.
 struct StreamStats {
   uint32_t fanout = 0;
@@ -32,13 +33,17 @@ struct StreamStats {
 /// a ShardRouter hands to its fronting ServiceEngine, so one query against
 /// the fleet is indistinguishable from one query against a single server.
 ///
-/// Each shard engine runs the query's own granular stream (same epsilon
-/// and k), and the router applies Algorithm 2's cell filter once more over
-/// the merge — identical rule, identical state evolution, hence
-/// byte-identical output to GranularInnStream. The shard-local filter is
-/// only a pre-filter: a grid cell split across two shards can pass up to k
-/// points from each, so the global cap stays the router's job. It drops
-/// nothing the router would report:
+/// The merge owns one granular stream per shard it reaches — the query's
+/// own stream (same epsilon and k) on that shard's LbsServer, packed into
+/// beta = 67 packets by a PacketChannel — and applies Algorithm 2's cell
+/// filter once more over the merge: identical rule, identical state
+/// evolution, hence byte-identical output to GranularInnStream. Shard
+/// streams live and die with the merge (a dry shard frees its stream at
+/// once), so nothing on the shard side can expire under a live query.
+///
+/// The shard-local filter is only a pre-filter: a grid cell split across
+/// two shards can pass up to k points from each, so the global cap stays
+/// the router's job. It drops nothing the router would report:
 ///  * a shard admits the first k points of each lambda-cell among its own
 ///    points, in (distance, id) order — a superset of the shard's points
 ///    the global filter admits (fewer predecessors, never more);
@@ -51,7 +56,7 @@ struct StreamStats {
 ///    the last reported distance (or the stream runs dry).
 ///
 /// Laziness is what keeps the fan-out below N:
-///  * a shard session is opened only when its partition rectangle's mindist
+///  * a shard stream is opened only when its partition rectangle's mindist
 ///    to the anchor is <= the distance of the point about to be merged out
 ///    (shards the supply disk never reaches are never contacted);
 ///  * one packet is pulled at a time, only when the shard's buffered head
@@ -64,7 +69,9 @@ class ScatterGatherStream : public server::InnSource {
  public:
   /// One shard of the fleet, as seen by the merge.
   struct ShardTarget {
-    service::ServiceEngine* engine = nullptr;   ///< borrowed
+    server::InnBackend* server = nullptr;       ///< borrowed
+    /// The shard's private registry, receiving its streams' instruments.
+    telemetry::MetricRegistry* registry = nullptr;
     const ShardPartition* partition = nullptr;  ///< borrowed
     telemetry::Counter* pulls = nullptr;        ///< router's shard.<i>.pulls
   };
@@ -81,7 +88,8 @@ class ScatterGatherStream : public server::InnSource {
                       const server::GranularOptions& options,
                       RetireFn on_retire);
 
-  /// Closes any open shard sessions and reports the final StreamStats.
+  /// Reports the final StreamStats; the remaining shard streams go with
+  /// the merge.
   ~ScatterGatherStream() override;
 
   ScatterGatherStream(const ScatterGatherStream&) = delete;
@@ -106,8 +114,10 @@ class ScatterGatherStream : public server::InnSource {
  private:
   struct ShardState {
     ShardTarget target;
-    uint64_t session_id = 0;
-    bool opened = false;
+    /// The shard's stream and the channel packing it; both null until the
+    /// first fill and again once the shard runs dry.
+    std::unique_ptr<server::InnSource> stream;
+    std::unique_ptr<net::PacketChannel> channel;
     bool exhausted = false;
     uint64_t next_seq = 0;
     /// Points buffered from pulled packets, each with its anchor distance
@@ -122,7 +132,7 @@ class ScatterGatherStream : public server::InnSource {
   /// exhausted; mindist to the partition rectangle before the first open).
   double LowerBound(const ShardState& s) const;
 
-  /// Opens the shard session if needed and pulls exactly one packet,
+  /// Opens the shard stream if needed and pulls exactly one packet,
   /// buffering its points or marking the shard exhausted.
   Status Fill(ShardState* s, size_t shard_index);
 

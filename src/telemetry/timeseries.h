@@ -49,9 +49,12 @@ HistogramSnapshot SubtractHistogramSnapshot(const HistogramSnapshot& now,
 
 /// Windowed time-series capture over an injected Clock — the temporal
 /// counterpart of the cumulative snapshot exporter (docs/OBSERVABILITY.md
-/// §7). Like StatszTicker the collector owns no thread: a caller polls it,
-/// and every elapsed fixed-interval deadline since construction closes one
-/// window holding the per-instrument deltas accumulated meanwhile. Windows
+/// §7). The collector owns no thread: a caller polls it, and every elapsed
+/// fixed-interval deadline since construction closes one window holding
+/// the per-instrument deltas accumulated meanwhile. It is also the
+/// periodic statsz sampler: `ToStatsz(cumulative())` after a Poll() that
+/// closed windows is the page for that capture (serve-bench
+/// --statsz-interval). Windows
 /// land in a bounded ring (oldest evicted, counted) with a global monotone
 /// index, and the whole series renders as the byte-stable
 /// `spacetwist.timeseries.v1` JSON document.
@@ -86,8 +89,8 @@ class TimeSeriesCollector {
 
   /// Adds a named auxiliary registry sampled on the same deadlines, its
   /// instruments prefixed `label.` — how a sharded deployment's per-shard
-  /// registries join the main series (mirrors StatszTicker::AddSection).
-  /// Call before the first Poll(); `registry` must outlive the collector.
+  /// registries join the main series. Call before the first Poll();
+  /// `registry` must outlive the collector.
   void AddSection(std::string label, MetricRegistry* registry);
 
   /// Closes every window whose deadline has passed; returns how many.
@@ -100,6 +103,9 @@ class TimeSeriesCollector {
   bool Flush();
 
   const TimeSeries& series() const { return series_; }
+  /// The combined snapshot (main registry plus sections) taken by the last
+  /// capture; before any, the baseline.
+  const RegistrySnapshot& cumulative() const { return previous_; }
   uint64_t interval_ns() const { return options_.interval_ns; }
   uint64_t start_ns() const { return series_.start_ns; }
   /// Index the next closed window will get.

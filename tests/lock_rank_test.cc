@@ -62,8 +62,8 @@ TEST(LockRankDeathTest, InversionAbortsWithBothNames) {
 TEST(LockRankDeathTest, EqualRankAborts) {
   // Two same-rank locks can deadlock against each other taken in opposite
   // orders, so equal rank is an inversion too (strict increase required).
-  Mutex first(LockRank::kEngineShard, "test.stripe_a");
-  Mutex second(LockRank::kEngineShard, "test.stripe_b");
+  Mutex first(LockRank::kEngineFront, "test.stripe_a");
+  Mutex second(LockRank::kEngineFront, "test.stripe_b");
   EXPECT_DEATH(
       {
         MutexLock a(&first);

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -342,12 +343,105 @@ TEST(ShardRouterTelemetryTest, MetricsAndTraceSpans) {
   EXPECT_TRUE(saw_fanout_hist);
   EXPECT_TRUE(saw_partition_hist);
   EXPECT_GT(shard_pulls_total, 0u);
-  // Per-shard engines report on their own registries.
-  uint64_t shard_engine_pulls = 0;
+
+  // Shard streams report on their shard's own registry, and only their
+  // server.granular.* counters; a traced shard pull notes exactly the work
+  // those counters record, with the stream's page fetches nested under it.
+  std::map<std::string, uint64_t> shard_counters;
   for (size_t i = 0; i < router->num_shards(); ++i) {
-    shard_engine_pulls += router->shard_engine(i)->metrics().pull_requests;
+    const telemetry::RegistrySnapshot shard_snapshot =
+        router->shard_registry(i)->Snapshot();
+    EXPECT_TRUE(shard_snapshot.gauges.empty()) << "shard " << i;
+    EXPECT_TRUE(shard_snapshot.histograms.empty()) << "shard " << i;
+    for (const auto& [name, value] : shard_snapshot.counters) {
+      EXPECT_EQ(name.rfind("server.granular.", 0), 0u) << name;
+      shard_counters[name] += value;
+    }
   }
-  EXPECT_EQ(shard_engine_pulls, shard_pulls_total);
+  std::map<std::string, uint64_t> pull_notes;
+  int pull_depth = -1;
+  size_t page_fetches = 0;
+  for (const telemetry::SpanRecord& span : trace.records()) {
+    if (span.name == "router.shard.pull") {
+      pull_depth = span.depth;
+      for (const auto& [key, value] : span.notes) pull_notes[key] += value;
+    }
+    if (span.name == "server.page.fetch") {
+      EXPECT_EQ(span.depth, pull_depth + 1);
+      ++page_fetches;
+    }
+  }
+  EXPECT_GT(page_fetches, 0u);
+  EXPECT_GT(shard_counters["server.granular.heap_pops"], 0u);
+  EXPECT_EQ(pull_notes["heap_pops"],
+            shard_counters["server.granular.heap_pops"]);
+  EXPECT_EQ(pull_notes["node_reads"],
+            shard_counters["server.granular.node_reads"]);
+  EXPECT_EQ(pull_notes["points"],
+            shard_counters["server.granular.points_reported"]);
+  EXPECT_EQ(pull_notes["node_reads"], page_fetches);
+}
+
+/// A live query's shard streams belong to its merged stream, so no idle
+/// TTL can take one from under it. The front session of a long exact-INN
+/// query is pulled every TTL/2, and between its pulls short queries on
+/// every shard open (sweeping idle sessions as they go), pull once and
+/// close; the long query must still stream all 4,400 points, rank for
+/// rank what one server holding the whole dataset streams.
+TEST(ShardRouterLifetimeTest, LiveQueryKeepsIdleShardStreams) {
+  const datasets::Dataset dataset = TestDataset(4000, 911);
+  auto single = server::LbsServer::Build(dataset).MoveValueOrDie();
+  constexpr uint64_t kTtlNs = 1000;
+  telemetry::VirtualClock clock;
+  telemetry::MetricRegistry registry;
+  ShardRouterOptions options;
+  options.num_shards = 4;
+  options.registry = &registry;
+  options.front.registry = &registry;
+  options.front.idle_ttl_ns = kTtlNs;
+  options.front.clock = &clock;
+  auto router = ShardRouter::Build(dataset, options).MoveValueOrDie();
+  service::ServiceEngine* front = router->front();
+
+  const geom::Point anchor{2500, 2500};
+  server::GranularOptions reference_options;
+  reference_options.registry = &registry;
+  auto expected =
+      single->OpenGranularSession(anchor, 0.0, 1, reference_options);
+  const uint64_t id = front->Open(anchor, 0.0, 1).MoveValueOrDie();
+  constexpr size_t kShortQueriesPerShard = 8;
+  size_t rank = 0;
+  for (uint64_t seq = 0;; ++seq) {
+    clock.Advance(kTtlNs / 2);
+    Result<net::Packet> packet = front->Pull(id, seq);
+    if (!packet.ok()) {
+      ASSERT_TRUE(packet.status().IsExhausted())
+          << "pull " << seq << ": " << packet.status().ToString();
+      break;
+    }
+    for (const rtree::DataPoint& got : packet->points) {
+      Result<rtree::DataPoint> want = expected->Next();
+      ASSERT_TRUE(want.ok()) << "rank " << rank;
+      ASSERT_EQ(*want, got) << "rank " << rank;
+      ++rank;
+    }
+    for (size_t i = 0; i < router->num_shards(); ++i) {
+      const std::vector<rtree::DataPoint>& points =
+          router->partitioner().partition(i).dataset.points;
+      for (size_t j = 0; j < kShortQueriesPerShard; ++j) {
+        const geom::Point short_anchor =
+            points[j * points.size() / kShortQueriesPerShard].point;
+        const uint64_t short_id =
+            front->Open(short_anchor, 200.0, 1).MoveValueOrDie();
+        ASSERT_TRUE(front->Pull(short_id, 0).ok());
+        ASSERT_TRUE(front->Close(short_id).ok());
+      }
+    }
+  }
+  EXPECT_TRUE(expected->Next().status().IsExhausted());
+  EXPECT_EQ(rank, dataset.points.size());
+  EXPECT_EQ(rank, 4400u);
+  EXPECT_TRUE(front->Close(id).ok());
 }
 
 /// The eval fan-out probe: tradeoff records carry the fan-out leg when the

@@ -1,7 +1,7 @@
 // Windowed time-series layer (docs/OBSERVABILITY.md §7): the
 // TimeSeriesCollector's window/delta semantics, the SubtractHistogramSnapshot
 // exactness property, the SLO watchdog's burn-rate trips + escalation, the
-// flight-recorder ring, StatszTicker/collector deadline agreement, and the
+// flight-recorder ring, periodic statsz pages from collector sections, and the
 // open-loop runner's byte-identical exports with a knee that trips the
 // watchdog.
 
@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,11 +19,11 @@
 #include "server/lbs_server.h"
 #include "service/service_engine.h"
 #include "telemetry/clock.h"
+#include "telemetry/export.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metric.h"
 #include "telemetry/registry.h"
 #include "telemetry/slo.h"
-#include "telemetry/statsz_ticker.h"
 #include "telemetry/timeseries.h"
 
 namespace spacetwist::telemetry {
@@ -314,11 +315,12 @@ TEST(SloMonitorTest, CounterRateObjective) {
   EXPECT_EQ(fx.monitor->Evaluate(), 1u);
 }
 
-/// Satellite contract: the collector and StatszTicker share the fixed
-/// deadline-grid discipline, so per-shard sections polled by both layers
-/// capture on the same instants under a VirtualClock — and rerunning the
-/// whole arrangement is byte-identical.
-TEST(TimeSeriesCollectorTest, SectionsShareStatszTickerDeadlines) {
+/// The collector is also the periodic statsz sampler: the page rendered
+/// from cumulative() at each window close names section instruments
+/// `label.<name>` and holds that capture's cumulative state, and rerunning
+/// the whole arrangement under a VirtualClock is byte-identical — series
+/// and pages alike.
+TEST(TimeSeriesCollectorTest, SectionsRenderStatszPagesOnDeadlines) {
   auto run = [](std::string* statsz_text) -> std::string {
     VirtualClock clock(0);
     MetricRegistry main;
@@ -333,19 +335,27 @@ TEST(TimeSeriesCollectorTest, SectionsShareStatszTickerDeadlines) {
     TimeSeriesCollector collector(&clock, &main, options);
     collector.AddSection("shard0", &shard0);
     collector.AddSection("shard1", &shard1);
-    StatszTicker ticker(&clock, &main, kSecond);
-    ticker.AddSection("shard0", &shard0);
-    ticker.AddSection("shard1", &shard1);
 
+    std::vector<std::string> pages;
     for (int step = 1; step <= 3; ++step) {
       front->Add(1);
       pulls0->Add(2 * step);
       pulls1->Add(3);
       clock.Set(static_cast<uint64_t>(step) * kSecond);
-      // Same Poll instant for both layers: both capture exactly once.
       EXPECT_EQ(collector.Poll(), 1u);
-      EXPECT_TRUE(ticker.Poll());
+      pages.push_back(ToStatsz(collector.cumulative()));
     }
+    const RegistrySnapshot& last = collector.cumulative();
+    EXPECT_EQ(last.counters,
+              (std::vector<std::pair<std::string, uint64_t>>{
+                  {"front.requests", 3},
+                  {"shard0.shard.pulls", 12},
+                  {"shard1.shard.pulls", 9}}));
+    for (const std::string& page : pages) {
+      EXPECT_NE(page.find("shard0.shard.pulls"), std::string::npos);
+      EXPECT_NE(page.find("shard1.shard.pulls"), std::string::npos);
+    }
+    EXPECT_EQ(pages.back(), ToStatsz(last));
 
     const TimeSeries& series = collector.series();
     EXPECT_EQ(series.intervals.size(), 3u);
@@ -360,14 +370,11 @@ TEST(TimeSeriesCollectorTest, SectionsShareStatszTickerDeadlines) {
       EXPECT_EQ(w.counter_deltas[2].first, "shard1.shard.pulls");
       EXPECT_EQ(w.counter_deltas[1].second, 2 * (i + 1));
       EXPECT_EQ(w.counter_deltas[2].second, 3u);
-      // The ticker sampled on the same deadline.
-      EXPECT_EQ(ticker.samples()[i].at_ns, w.end_ns);
+      EXPECT_EQ(w.end_ns, (i + 1) * kSecond);
     }
     if (statsz_text != nullptr) {
       statsz_text->clear();
-      for (const StatszSample& sample : ticker.samples()) {
-        *statsz_text += sample.text;
-      }
+      for (const std::string& page : pages) *statsz_text += page;
     }
     return TimeSeriesToJson(series, nullptr);
   };

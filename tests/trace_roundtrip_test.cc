@@ -1,5 +1,5 @@
 // End-to-end coverage of the distributed-tracing pipeline: TraceSink
-// admission, the Chrome-trace_event exporter, the StatszTicker, the merged
+// admission, the Chrome-trace_event exporter, periodic statsz pages, the merged
 // client+server trace across the wire boundary, and per-query trade-off
 // records — everything under VirtualClock so reruns are byte-identical.
 
@@ -20,7 +20,7 @@
 #include "telemetry/clock.h"
 #include "telemetry/export.h"
 #include "telemetry/registry.h"
-#include "telemetry/statsz_ticker.h"
+#include "telemetry/timeseries.h"
 #include "telemetry/trace.h"
 #include "telemetry/trace_export.h"
 #include "telemetry/trace_sink.h"
@@ -33,7 +33,6 @@ namespace {
 
 using telemetry::MetricRegistry;
 using telemetry::SpanRecord;
-using telemetry::StatszTicker;
 using telemetry::Trace;
 using telemetry::TraceRecord;
 using telemetry::TraceSink;
@@ -136,40 +135,59 @@ TEST(TraceExportTest, EmitsSchemaProcessesSpansAndInstants) {
 }
 
 // ---------------------------------------------------------------------------
-// StatszTicker: interval-driven sampling on the injected clock
-// (`serve-bench --statsz-interval` behind a VirtualClock).
+// Periodic statsz: a TimeSeriesCollector polled on the injected clock, one
+// page per poll that closes windows (`serve-bench --statsz-interval` behind
+// a VirtualClock).
 
-TEST(StatszTickerTest, SamplesOnVirtualClockIntervals) {
+TEST(StatszSamplingTest, SamplesOnVirtualClockIntervals) {
   VirtualClock clock(0, 0);  // manual advance only
   MetricRegistry registry;
-  registry.GetCounter("ticker.polls")->Add(1);
-  StatszTicker ticker(&clock, &registry, /*interval_ns=*/1'000'000'000);
+  telemetry::Counter* polls = registry.GetCounter("ticker.polls");
+  telemetry::TimeSeriesCollector::Options options;
+  options.interval_ns = 1'000'000'000;
+  telemetry::TimeSeriesCollector collector(&clock, &registry, options);
+  std::vector<std::string> pages;
+  // One poll of the CLI's sampler loop; each page must be the registry's
+  // state at that poll.
+  const auto poll = [&] {
+    polls->Add(1);
+    if (collector.Poll() == 0) return false;
+    pages.push_back(telemetry::ToStatsz(collector.cumulative()));
+    EXPECT_EQ(pages.back(), telemetry::ToStatsz(registry.Snapshot()));
+    return true;
+  };
 
-  EXPECT_FALSE(ticker.Poll());  // t=0: first deadline is 1s
+  EXPECT_FALSE(poll());  // t=0: first deadline is 1s
   clock.Advance(999'999'999);
-  EXPECT_FALSE(ticker.Poll());  // t=1s - 1ns
+  EXPECT_FALSE(poll());  // t=1s - 1ns
   clock.Advance(1);
-  EXPECT_TRUE(ticker.Poll());   // t=1s exactly
-  EXPECT_FALSE(ticker.Poll());  // same interval: no second sample
+  EXPECT_TRUE(poll());   // t=1s exactly
+  EXPECT_FALSE(poll());  // same interval: no second page
 
-  // Several intervals elapse unobserved: one catch-up sample, then the
+  // Several intervals elapse unobserved: one catch-up page, then the
   // cadence realigns to the next whole interval (t=5s).
   clock.Advance(3'500'000'000);
-  EXPECT_TRUE(ticker.Poll());
-  EXPECT_FALSE(ticker.Poll());
+  EXPECT_TRUE(poll());
+  EXPECT_FALSE(poll());
   clock.Advance(500'000'000);
-  EXPECT_TRUE(ticker.Poll());
+  EXPECT_TRUE(poll());
 
-  ASSERT_EQ(ticker.samples().size(), 3u);
-  EXPECT_EQ(ticker.samples()[0].at_ns, 1'000'000'000u);
-  EXPECT_EQ(ticker.samples()[1].at_ns, 4'500'000'000u);
-  EXPECT_EQ(ticker.samples()[2].at_ns, 5'000'000'000u);
-  EXPECT_EQ(ticker.start_ns(), 0u);
-  for (const telemetry::StatszSample& sample : ticker.samples()) {
-    EXPECT_NE(sample.text.find("=== spacetwist statsz ==="),
-              std::string::npos);
-    EXPECT_NE(sample.text.find("ticker.polls"), std::string::npos);
+  ASSERT_EQ(pages.size(), 3u);
+  EXPECT_EQ(collector.start_ns(), 0u);
+  // The windows behind the pages stay on the deadline grid: 1s, the
+  // catch-up windows ending at 2, 3 and 4s, then 5s.
+  std::vector<uint64_t> ends;
+  for (const telemetry::IntervalSample& w : collector.series().intervals) {
+    ends.push_back(w.end_ns);
   }
+  EXPECT_EQ(ends, (std::vector<uint64_t>{1'000'000'000, 2'000'000'000,
+                                         3'000'000'000, 4'000'000'000,
+                                         5'000'000'000}));
+  for (const std::string& page : pages) {
+    EXPECT_NE(page.find("=== spacetwist statsz ==="), std::string::npos);
+    EXPECT_NE(page.find("ticker.polls"), std::string::npos);
+  }
+  EXPECT_NE(pages[0], pages[1]);  // each page is its own capture
 }
 
 // ---------------------------------------------------------------------------

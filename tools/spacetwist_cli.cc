@@ -70,10 +70,10 @@
 #include "rtree/persistence.h"
 #include "rtree/tree_stats.h"
 #include "spacetwist/spacetwist.h"
+#include "telemetry/clock.h"
 #include "telemetry/export.h"
 #include "telemetry/registry.h"
 #include "telemetry/slo.h"
-#include "telemetry/statsz_ticker.h"
 #include "telemetry/timeseries.h"
 #include "telemetry/trace_export.h"
 
@@ -787,29 +787,43 @@ Status RunServeBench(const Flags& flags) {
     };
   }
 
-  // Periodic /statsz sampling: a poller thread drives the clock-disciplined
-  // ticker while the measured runs execute; samples render at the end next
-  // to the cumulative page.
-  std::unique_ptr<telemetry::StatszTicker> ticker;
+  // Periodic /statsz sampling: a poller thread drives a windowed collector
+  // on the real clock while the measured runs execute, and every poll that
+  // closes a window renders that capture's cumulative snapshot as one page
+  // (a burst of missed windows yields one catch-up page). Pages print at
+  // the end, before the final cumulative page.
+  std::string statsz_pages;
+  std::unique_ptr<telemetry::TimeSeriesCollector> statsz_sampler;
   if (flags.Has("statsz-interval")) {
-    ticker = std::make_unique<telemetry::StatszTicker>(
-        nullptr, nullptr, static_cast<uint64_t>(statsz_interval * 1e9));
+    telemetry::TimeSeriesCollector::Options sampling;
+    sampling.interval_ns = static_cast<uint64_t>(statsz_interval * 1e9);
+    sampling.capacity = 1;  // pages come from cumulative(), not the windows
+    statsz_sampler = std::make_unique<telemetry::TimeSeriesCollector>(
+        nullptr, nullptr, sampling);
     if (router != nullptr) {
-      // Each capture shows every shard engine's private registry after the
-      // fleet-wide page.
+      // Shard instruments join each page as shard<i>.<name>.
       for (size_t i = 0; i < router->num_shards(); ++i) {
-        ticker->AddSection(StrFormat("shard%zu", i),
-                           router->shard_registry(i));
+        statsz_sampler->AddSection(StrFormat("shard%zu", i),
+                                   router->shard_registry(i));
       }
     }
   }
 
   std::atomic<bool> stop_poller{false};
   std::thread poller;
-  if (ticker != nullptr) {
-    poller = std::thread([&ticker, &stop_poller] {
-      while (!stop_poller.load(std::memory_order_relaxed)) {
-        ticker->Poll();
+  if (statsz_sampler != nullptr) {
+    poller = std::thread([&statsz_sampler, &statsz_pages, &stop_poller] {
+      telemetry::Clock* clock = telemetry::DefaultClock();
+      for (size_t page = 0; !stop_poller.load(std::memory_order_relaxed);) {
+        if (statsz_sampler->Poll() > 0) {
+          statsz_pages += StrFormat(
+              "--- statsz sample %zu at %.3f s ---\n", page++,
+              static_cast<double>(clock->NowNs() -
+                                  statsz_sampler->start_ns()) /
+                  1e9);
+          statsz_pages += telemetry::ToStatsz(statsz_sampler->cumulative());
+          statsz_pages += "\n";
+        }
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     });
@@ -901,29 +915,19 @@ Status RunServeBench(const Flags& flags) {
                 last_report.tradeoffs.size());
   }
 
-  if (flags.Has("statsz") || ticker != nullptr) {
+  if (flags.Has("statsz") || statsz_sampler != nullptr) {
     // Every layer registered into the process-default registry during the
     // run; render the cumulative page (engine, wire, storage, granular
     // server, load generator) as human-readable text, preceded by any
-    // periodic samples the ticker captured.
+    // periodic pages the sampler captured.
     std::string statsz;
-    if (ticker != nullptr) {
-      size_t index = 0;
-      for (const telemetry::StatszSample& sample : ticker->samples()) {
-        statsz += StrFormat(
-            "--- statsz sample %llu at %.3f s ---\n",
-            static_cast<unsigned long long>(index++),
-            static_cast<double>(sample.at_ns - ticker->start_ns()) / 1e9);
-        statsz += sample.text;
-        statsz += "\n";
-      }
-      statsz += "--- statsz final (cumulative) ---\n";
+    if (statsz_sampler != nullptr) {
+      statsz = statsz_pages + "--- statsz final (cumulative) ---\n";
     }
     statsz += telemetry::ToStatsz(
         telemetry::MetricRegistry::Default()->Snapshot());
     if (router != nullptr) {
-      // Mirror StatszTicker's section layout so the cumulative page breaks
-      // down the fleet the same way the periodic samples do.
+      // One section per shard registry breaks the fleet down.
       for (size_t i = 0; i < router->num_shards(); ++i) {
         statsz += StrFormat("== shard%zu ==\n", i);
         statsz += telemetry::ToStatsz(router->shard_registry(i)->Snapshot());

@@ -21,7 +21,9 @@ Checks every document passed on the command line:
   carry per-fleet-size results with digest_match == 1, mean fan-out within
   (and beyond one shard strictly below) the fleet size, and per-shard
   arrays sized to the declared shard count, alongside the usual embedded
-  telemetry section;
+  telemetry section; summed over fleet sizes, per_shard_pulls[i] must
+  equal the embedded shard.<i>.pulls counter, and the grand total
+  shard.router.shard_pulls;
 * spacetwist.memidx.v1 — a serving-backend comparison (bench_memidx's
   BENCH_latency.json) must carry one result per backend including both
   "paged" and "memidx", each with a positive ns_per_query, digest_match
@@ -270,8 +272,11 @@ def validate_shard_document(document, path):
     Checks the scale-out claims the artifact exists to record: per-fleet-size
     results whose digests matched the single server, whose fan-out stays
     within (and, beyond one shard, strictly below) the fleet size, and whose
-    per-shard arrays match the declared shard count. The embedded telemetry
-    section is validated by the caller's walk.
+    per-shard arrays match the declared shard count. Every fleet of a run
+    counts into the same router counters, so per_shard_pulls — each fleet's
+    delta of shard.<i>.pulls — must sum over the fleets to the embedded
+    counters. The embedded telemetry section itself is validated by the
+    caller's walk.
     """
     results = document.get("results")
     if not isinstance(results, list) or not results:
@@ -311,6 +316,39 @@ def validate_shard_document(document, path):
                     or not all(is_int(v) and v >= 0 for v in values)):
                 error(entry_path,
                       f"{key} must be a list of {shards} non-negative ints")
+    validate_shard_pull_totals(document, results, path)
+
+
+def validate_shard_pull_totals(document, results, path):
+    """per_shard_pulls summed over fleet sizes against the router counters
+    the run embedded (skipped when an array or the snapshot is malformed:
+    those are reported elsewhere)."""
+    sums = []
+    for entry in results:
+        pulls = (entry.get("per_shard_pulls") if isinstance(entry, dict)
+                 else None)
+        if not isinstance(pulls, list) or not all(is_int(v) for v in pulls):
+            return
+        for i, value in enumerate(pulls):
+            if i == len(sums):
+                sums.append(0)
+            sums[i] += value
+    telemetry = document.get("telemetry")
+    counters = (telemetry.get("counters") if isinstance(telemetry, dict)
+                else None)
+    if not isinstance(counters, dict):
+        return
+    for i, total in enumerate(sums):
+        name = f"shard.{i}.pulls"
+        if counters.get(name) != total:
+            error(path, f"per_shard_pulls[{i}] sums to {total} over the "
+                  f"fleets, but the embedded {name} counter is "
+                  f"{counters.get(name)}")
+    total = sum(sums)
+    if counters.get("shard.router.shard_pulls") != total:
+        error(path, f"per_shard_pulls total {total} differs from the "
+              f"embedded shard.router.shard_pulls counter "
+              f"{counters.get('shard.router.shard_pulls')}")
 
 
 def validate_memidx_document(document, path):

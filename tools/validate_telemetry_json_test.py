@@ -78,7 +78,11 @@ GOOD_SHARD = {
          "per_shard_pulls": [1300, 1200, 1400, 1381],
          "shard_points": [125000, 125000, 125000, 125000]},
     ],
-    "telemetry": copy.deepcopy(GOOD_TELEMETRY),
+    # Both fleets count into one registry: shard.0.pulls = 5047 + 1300.
+    "telemetry": dict(copy.deepcopy(GOOD_TELEMETRY), counters={
+        "net.packets": 24, "shard.0.pulls": 6347, "shard.1.pulls": 1200,
+        "shard.2.pulls": 1400, "shard.3.pulls": 1381,
+        "shard.router.shard_pulls": 10328}),
 }
 
 GOOD_MEMIDX = {
@@ -374,6 +378,23 @@ def main():
                lambda d: d["results"][1]["shard_points"]
                .__setitem__(0, -1)),
         "shard_points")
+    expect_error(
+        "shard pulls disagree with their shard counter",
+        broken(GOOD_SHARD,
+               lambda d: d["results"][1]["per_shard_pulls"]
+               .__setitem__(2, 1401)),
+        "embedded shard.2.pulls counter is 1400")
+    expect_error(
+        "shard pull counter missing",
+        broken(GOOD_SHARD,
+               lambda d: d["telemetry"]["counters"].pop("shard.3.pulls")),
+        "embedded shard.3.pulls counter is None")
+    expect_error(
+        "shard pulls disagree with the router total",
+        broken(GOOD_SHARD,
+               lambda d: d["telemetry"]["counters"]
+               .__setitem__("shard.router.shard_pulls", 10329)),
+        "shard.router.shard_pulls counter 10329")
     expect_error(
         "shard missing telemetry snapshot",
         broken(GOOD_SHARD, lambda d: d.pop("telemetry")),
