@@ -12,8 +12,8 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 
 std::vector<uint8_t> EncodeError(const Status& status) {
   // Byte-identical to ServiceEngine's error frames for requests that never
-  // named a session (session_id 0) — the only error class the loop itself
-  // can produce.
+  // named a session (session_id 0) — the only error class the engine
+  // itself can produce.
   return net::EncodeResponse(
       net::ErrorReply{status.code(), /*session_id=*/0, status.message()});
 }
@@ -22,8 +22,8 @@ std::vector<uint8_t> EncodeError(const Status& status) {
 
 std::vector<uint8_t> EventEngine::Port::HandleFrame(
     const std::vector<uint8_t>& request_frame) {
-  // A FrameHandler cannot fail, so transport failures (only possible after
-  // engine shutdown) surface as an encoded error frame like any other.
+  // A FrameHandler cannot fail, so a refused Submit (ready queue full, or
+  // the engine shut down) surfaces at once as an encoded error frame.
   Status submitted = transport_->Submit(conn_id_, request_frame);
   if (!submitted.ok()) return EncodeError(submitted);
   Result<std::vector<uint8_t>> reply = transport_->AwaitReply(conn_id_);
@@ -36,15 +36,10 @@ EventEngine::EventEngine(service::ServiceEngine* service,
                          const EventEngineOptions& options)
     : service_(service),
       transport_(transport),
-      options_(options),
-      clock_(telemetry::OrDefault(options.clock)),
-      pool_(options.worker_threads,
-            service::ThreadPoolOptions{options.max_run_queue,
-                                       options.registry}) {
+      clock_(telemetry::OrDefault(options.clock)) {
   SPACETWIST_CHECK(service_ != nullptr);
   SPACETWIST_CHECK(transport_ != nullptr);
-  SPACETWIST_CHECK(options_.worker_threads >= 1);
-  SPACETWIST_CHECK(options_.poll_batch >= 1);
+  SPACETWIST_CHECK(options.worker_threads >= 1);
   telemetry::MetricRegistry* registry =
       telemetry::MetricRegistry::OrDefault(options.registry);
   instruments_.frames = registry->GetCounter("engine.frames");
@@ -55,86 +50,73 @@ EventEngine::EventEngine(service::ServiceEngine* service,
   instruments_.loop_idle_ns = registry->GetCounter("engine.loop_idle_ns");
   instruments_.queue_delay_ns = registry->GetHistogram("engine.queue_delay_ns");
   instruments_.poll_batch = registry->GetHistogram("engine.poll_batch");
-  loop_ = std::thread([this] { Loop(); });
+  transport_->SetAdmission(options.max_run_queue, clock_,
+                           instruments_.rejected);
+  workers_.reserve(options.worker_threads);
+  for (size_t i = 0; i < options.worker_threads; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
 EventEngine::~EventEngine() {
   transport_->Shutdown();
-  loop_.join();    // drains every accepted frame first (WaitReady contract)
-  pool_.Wait();    // in-flight dispatches finish and reply
+  // Workers drain every accepted frame first (WaitReady contract).
+  for (std::thread& worker : workers_) worker.join();
 }
 
-void EventEngine::Loop() {
-  std::vector<FrameEvent> batch;
-  batch.reserve(options_.poll_batch);
+void EventEngine::WorkerLoop() {
+  std::vector<FrameEvent> polled;
   for (;;) {
-    // Loop headroom: ns the loop thread spends parked in WaitReady. A busy
-    // engine reads ~0 here; a large value means the loop is starved for
-    // frames, not CPU. (Guarded subtraction: a test driving a VirtualClock
-    // backwards via Set() must not underflow the counter.)
-    const uint64_t wait_start_ns = clock_->NowNs();
-    if (!transport_->WaitReady()) break;
-    const uint64_t wait_end_ns = clock_->NowNs();
-    instruments_.loop_idle_ns->Add(
-        wait_end_ns >= wait_start_ns ? wait_end_ns - wait_start_ns : 0);
-    batch.clear();
-    transport_->PollReady(options_.poll_batch, &batch);
-    instruments_.poll_batch->Record(batch.size());
-    for (FrameEvent& event : batch) Dispatch(std::move(event));
+    polled.clear();
+    if (transport_->PollReady(1, &polled) == 0) {
+      // Headroom: ns this worker spends parked in WaitReady. A busy engine
+      // reads ~0 here; a large value means the workers are starved for
+      // frames, not CPU. (Guarded subtraction: a test driving a
+      // VirtualClock backwards via Set() must not underflow the counter.)
+      const uint64_t wait_start_ns = clock_->NowNs();
+      const bool open = transport_->WaitReady();
+      const uint64_t wait_end_ns = clock_->NowNs();
+      instruments_.loop_idle_ns->Add(
+          wait_end_ns >= wait_start_ns ? wait_end_ns - wait_start_ns : 0);
+      if (!open) return;
+      continue;
+    }
+    instruments_.poll_batch->Record(1);
+    Serve(std::move(polled.front()));
   }
 }
 
-void EventEngine::Dispatch(FrameEvent event) {
+void EventEngine::Serve(FrameEvent event) {
+  // Everything a frame contributes is counted before SendReply publishes
+  // its reply: a client can observe the reply (and read metrics()) the
+  // instant the push lands.
   counters_.frames.fetch_add(1, kRelaxed);
   instruments_.frames->Add();
 
-  // Decode on the loop thread: cheap, and a malformed frame never costs a
-  // run-queue slot.
   Result<net::Request> request = net::DecodeRequest(event.frame);
   if (!request.ok()) {
     counters_.decode_errors.fetch_add(1, kRelaxed);
     instruments_.decode_errors->Add();
-    // Count the reply before SendReply publishes it: a client can observe
-    // its reply (and read metrics()) the instant the push lands.
     counters_.replies.fetch_add(1, kRelaxed);
     instruments_.replies->Add();
     transport_->SendReply(event.conn_id, EncodeError(request.status()));
     return;
   }
 
-  const uint64_t conn_id = event.conn_id;
-  const uint64_t admit_ns = clock_->NowNs();
-  Status admitted = pool_.TrySubmit(
-      [this, conn_id, admit_ns, req = std::move(*request)] {
-        // Counted here, not on the loop thread after TrySubmit: everything a
-        // frame contributes must land before SendReply publishes its reply,
-        // or a sequential client snapshotting metrics between queries would
-        // race the loop thread's tail bookkeeping.
-        counters_.dispatched.fetch_add(1, kRelaxed);
-        instruments_.dispatched->Add();
-        instruments_.queue_delay_ns->Record(clock_->NowNs() - admit_ns);
-        std::vector<uint8_t> reply = service_->HandleDecoded(req);
-        counters_.replies.fetch_add(1, kRelaxed);
-        instruments_.replies->Add();
-        transport_->SendReply(conn_id, std::move(reply));
-      });
-  if (!admitted.ok()) {
-    // Run queue full: shed the request with the engine's backpressure
-    // signal so the client backs off, exactly like the session cap.
-    counters_.rejected.fetch_add(1, kRelaxed);
-    instruments_.rejected->Add();
-    counters_.replies.fetch_add(1, kRelaxed);
-    instruments_.replies->Add();
-    transport_->SendReply(event.conn_id, EncodeError(admitted));
-    return;
-  }
+  counters_.dispatched.fetch_add(1, kRelaxed);
+  instruments_.dispatched->Add();
+  instruments_.queue_delay_ns->Record(clock_->NowNs() - event.submit_ns);
+  std::vector<uint8_t> reply = service_->HandleDecoded(*request);
+  counters_.replies.fetch_add(1, kRelaxed);
+  instruments_.replies->Add();
+  transport_->SendReply(event.conn_id, std::move(reply));
 }
 
 EventEngineMetrics EventEngine::metrics() const {
   EventEngineMetrics m;
   m.frames = counters_.frames.load(kRelaxed);
   m.decode_errors = counters_.decode_errors.load(kRelaxed);
-  m.rejected = counters_.rejected.load(kRelaxed);
+  m.rejected = transport_->rejected();
   m.dispatched = counters_.dispatched.load(kRelaxed);
   m.replies = counters_.replies.load(kRelaxed);
   return m;

@@ -1,6 +1,7 @@
 #ifndef SPACETWIST_ENGINE_EVENT_ENGINE_H_
 #define SPACETWIST_ENGINE_EVENT_ENGINE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <thread>
@@ -9,7 +10,6 @@
 #include "engine/event_transport.h"
 #include "net/wire.h"
 #include "service/service_engine.h"
-#include "service/thread_pool.h"
 #include "telemetry/clock.h"
 #include "telemetry/metric.h"
 #include "telemetry/registry.h"
@@ -18,15 +18,14 @@ namespace spacetwist::engine {
 
 /// Tuning knobs for EventEngine.
 struct EventEngineOptions {
-  /// Worker threads executing dispatched requests.
+  /// Worker threads; each polls, decodes, dispatches and replies. This is
+  /// the engine's whole thread count.
   size_t worker_threads = 4;
-  /// Bound on the run queue between the event loop and the workers; an
-  /// arrival that finds it full is answered with an encoded
-  /// kResourceExhausted error frame (the engine's overload signal — same
-  /// semantics as the session-cap backpressure). 0 = unbounded.
+  /// Bound on the transport's ready queue; an arrival that finds it full
+  /// is answered at once with an encoded kResourceExhausted error frame
+  /// (the engine's overload signal — same semantics as the session-cap
+  /// backpressure). 0 = unbounded.
   size_t max_run_queue = 1024;
-  /// Frames drained from the transport per loop iteration.
-  size_t poll_batch = 64;
   /// Queue-delay timestamps; inject a telemetry::VirtualClock for
   /// byte-identical runs. Null = the process-wide real clock.
   telemetry::Clock* clock = nullptr;
@@ -34,46 +33,47 @@ struct EventEngineOptions {
   telemetry::MetricRegistry* registry = nullptr;
 };
 
-/// Point-in-time counters of the event loop.
+/// Point-in-time counters of the engine.
 struct EventEngineMetrics {
-  uint64_t frames = 0;         ///< events drained from the transport
-  uint64_t decode_errors = 0;  ///< malformed frames answered on the loop
-  uint64_t rejected = 0;       ///< run-queue-full kResourceExhausted replies
-  uint64_t dispatched = 0;     ///< requests handed to the worker pool
-  uint64_t replies = 0;        ///< response frames sent (all outcomes)
+  uint64_t frames = 0;         ///< events polled from the transport
+  uint64_t decode_errors = 0;  ///< malformed frames answered with an error
+  uint64_t rejected = 0;       ///< arrivals shed with kResourceExhausted
+  uint64_t dispatched = 0;     ///< requests run through HandleDecoded
+  uint64_t replies = 0;        ///< response frames sent for polled frames
 };
 
 /// Event-driven serving front end (docs/SERVICE.md §7): each wire session
 /// is a small explicit state machine — decode → dispatch → reply — driven
-/// by one event-loop thread over a readiness-based EventTransport, with a
-/// bounded run queue feeding service::ThreadPool workers. No thread is
-/// parked per pull: a connection consumes memory between its frames, not a
-/// stack.
+/// by `worker_threads` workers over a readiness-based EventTransport. No
+/// thread is parked per pull: a connection consumes memory between its
+/// frames, not a stack. A frame crosses two threads, client → worker →
+/// client, and every step on the server runs on the worker that polled it:
 ///
-///   loop thread:  WaitReady → PollReady(batch) → per frame:
-///                   decode        (malformed → error reply, loop thread)
-///                   admit         (TrySubmit; full → kResourceExhausted
-///                                  error reply — wire-level backpressure)
-///   worker:         dispatch      (ServiceEngine::HandleDecoded — the
-///                                  exact thread-per-pull dispatch+encode,
-///                                  so results are byte-identical by
-///                                  construction; engine_differential_test
-///                                  pins it)
-///                   reply         (SendReply on the transport)
+///   Submit (client):  admit         (ready queue full → kResourceExhausted
+///                                    error reply at once — wire-level
+///                                    backpressure)
+///   worker:           PollReady(1)  (nothing ready → park in WaitReady)
+///                     decode        (malformed → error reply)
+///                     dispatch      (ServiceEngine::HandleDecoded — the
+///                                    exact thread-per-pull dispatch+encode,
+///                                    so results are byte-identical by
+///                                    construction; engine_differential_test
+///                                    pins it)
+///                     reply         (SendReply on the transport)
 ///
 /// The engine borrows `service` (a ServiceEngine over any InnBackend — a
 /// single LbsServer or a shard::ShardRouter fleet) and `transport`, both of
-/// which must outlive it. Destruction shuts the transport down, drains
-/// every accepted frame, and joins the loop and workers.
+/// which must outlive it. Destruction shuts the transport down, lets the
+/// workers drain every accepted frame, and joins them.
 ///
 /// Exported instruments (docs/OBSERVABILITY.md):
 ///   engine.frames, engine.decode_errors, engine.rejected,
 ///   engine.dispatched, engine.replies            counters
-///   engine.loop_idle_ns                          counter, ns blocked in
-///                                                WaitReady (loop headroom)
-///   engine.queue_delay_ns                        histogram, admit → run
-///   engine.poll_batch                            histogram, frames drained
-///                                                per PollReady
+///   engine.loop_idle_ns                          counter, the workers'
+///                                                summed ns parked in
+///                                                WaitReady (headroom)
+///   engine.queue_delay_ns                        histogram, Submit → poll
+///   engine.poll_batch                            histogram, 1 per poll
 class EventEngine {
  public:
   EventEngine(service::ServiceEngine* service,
@@ -85,7 +85,8 @@ class EventEngine {
   EventEngine& operator=(const EventEngine&) = delete;
 
   /// A per-connection net::FrameHandler over the event engine: HandleFrame
-  /// submits the frame on this Port's connection and blocks for the reply.
+  /// submits the frame on this Port's connection and blocks for the reply
+  /// (a frame shed at admission gets its error reply without waiting).
   /// Cheap to copy; make one per simulated user. Existing clients
   /// (service::WireSession, net::DirectTransport, net::FaultyTransport)
   /// compose with it unchanged — that is how the differential test runs the
@@ -109,19 +110,16 @@ class EventEngine {
   EventEngineMetrics metrics() const;
 
  private:
-  void Loop();
-  void Dispatch(FrameEvent event);
+  void WorkerLoop();
+  void Serve(FrameEvent event);
 
   service::ServiceEngine* service_;
   InProcessEventTransport* transport_;
-  EventEngineOptions options_;
   telemetry::Clock* clock_;
-  service::ThreadPool pool_;  ///< bounded run queue + workers
 
   struct Counters {
     std::atomic<uint64_t> frames{0};
     std::atomic<uint64_t> decode_errors{0};
-    std::atomic<uint64_t> rejected{0};
     std::atomic<uint64_t> dispatched{0};
     std::atomic<uint64_t> replies{0};
   };
@@ -139,7 +137,7 @@ class EventEngine {
   };
   Instruments instruments_;
 
-  std::thread loop_;  ///< started last in the ctor, joined in the dtor
+  std::vector<std::thread> workers_;  ///< started last in the ctor
 };
 
 }  // namespace spacetwist::engine

@@ -1,8 +1,18 @@
 #include "engine/event_transport.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace spacetwist::engine {
+
+void InProcessEventTransport::SetAdmission(size_t max_ready,
+                                           telemetry::Clock* clock,
+                                           telemetry::Counter* rejected) {
+  MutexLock lock(&mu_);
+  max_ready_ = max_ready;
+  clock_ = clock;
+  rejected_metric_ = rejected;
+}
 
 uint64_t InProcessEventTransport::Connect() {
   MutexLock lock(&mu_);
@@ -13,12 +23,22 @@ uint64_t InProcessEventTransport::Connect() {
 
 Status InProcessEventTransport::Submit(uint64_t conn_id,
                                        std::vector<uint8_t> frame) {
-  {
-    MutexLock lock(&mu_);
-    if (shutdown_) return Status::Internal("event transport shut down");
-    ready_.push_back(FrameEvent{conn_id, std::move(frame)});
+  MutexLock lock(&mu_);
+  if (shutdown_) return Status::Internal("event transport shut down");
+  if (max_ready_ != 0 && ready_.size() >= max_ready_) {
+    // Counted before the client can see its refusal.
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    if (rejected_metric_ != nullptr) rejected_metric_->Add();
+    return Status::ResourceExhausted("event engine run queue full");
   }
-  ready_cv_.NotifyOne();
+  const uint64_t submit_ns = clock_ != nullptr ? clock_->NowNs() : 0;
+  ready_.push_back(FrameEvent{conn_id, std::move(frame), submit_ns});
+  if (!parked_.empty()) {
+    // Newest first; signalled under mu_ because the slot lives on the
+    // parked worker's stack and dies as soon as that worker returns.
+    parked_.back()->NotifyOne();
+    parked_.pop_back();
+  }
   return Status::OK();
 }
 
@@ -39,9 +59,21 @@ Result<std::vector<uint8_t>> InProcessEventTransport::AwaitReply(
   return frame;
 }
 
+void InProcessEventTransport::Disconnect(uint64_t conn_id) {
+  MutexLock lock(&mu_);
+  conns_.erase(conn_id);
+}
+
 bool InProcessEventTransport::WaitReady() {
   MutexLock lock(&mu_);
-  while (ready_.empty() && !shutdown_) ready_cv_.Wait(&mu_);
+  CondVar slot;
+  while (ready_.empty() && !shutdown_) {
+    parked_.push_back(&slot);
+    slot.Wait(&mu_);
+    // A Submit that woke this slot unlisted it; a spurious wakeup did not.
+    auto it = std::find(parked_.begin(), parked_.end(), &slot);
+    if (it != parked_.end()) parked_.erase(it);
+  }
   return !ready_.empty();
 }
 
@@ -59,24 +91,22 @@ size_t InProcessEventTransport::PollReady(size_t max_events,
 
 void InProcessEventTransport::SendReply(uint64_t conn_id,
                                         std::vector<uint8_t> frame) {
-  CondVar* cv = nullptr;
-  {
-    MutexLock lock(&mu_);
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;  // peer gone: drop, like a closed fd
-    it->second->replies.push_back(std::move(frame));
-    cv = &it->second->reply_cv;
-  }
-  cv->NotifyOne();
+  MutexLock lock(&mu_);
+  auto it = conns_.find(conn_id);
+  if (it == conns_.end()) return;  // peer gone: drop, like a closed fd
+  Conn* conn = it->second.get();
+  conn->replies.push_back(std::move(frame));
+  // Signalled under mu_: once it drops, the client may take the reply,
+  // finish and Disconnect, freeing the CondVar.
+  conn->reply_cv.NotifyOne();
 }
 
 void InProcessEventTransport::Shutdown() {
-  {
-    MutexLock lock(&mu_);
-    shutdown_ = true;
-    for (auto& [id, conn] : conns_) conn->reply_cv.NotifyAll();
-  }
-  ready_cv_.NotifyAll();
+  MutexLock lock(&mu_);
+  shutdown_ = true;
+  for (auto& [id, conn] : conns_) conn->reply_cv.NotifyAll();
+  for (CondVar* slot : parked_) slot->NotifyOne();
+  parked_.clear();
 }
 
 }  // namespace spacetwist::engine

@@ -217,15 +217,19 @@ Result<core::QueryOutcome> LoadRun::Query(size_t i) {
     // A perfect link holds no state, so each query gets a fresh transport
     // (and under the event engine a fresh connection: a user's overlapping
     // open-loop queries never share one).
-    std::optional<engine::EventEngine::Port> port;
-    net::FrameHandler* handler = engine_;
-    if (event_engine_ != nullptr) {
-      port.emplace(event_engine_->NewPort());
-      handler = &*port;
+    if (event_engine_ == nullptr) {
+      net::DirectTransport direct(engine_);
+      return service::RemoteQuery(&direct, a.q, a.anchor, options_.params,
+                                  retry, &slot.retry);
     }
-    net::DirectTransport direct(handler);
-    return service::RemoteQuery(&direct, a.q, a.anchor, options_.params,
-                                retry, &slot.retry);
+    const uint64_t conn_id = event_transport_->Connect();
+    engine::EventEngine::Port port(event_transport_.get(), conn_id);
+    net::DirectTransport direct(&port);
+    Result<core::QueryOutcome> result = service::RemoteQuery(
+        &direct, a.q, a.anchor, options_.params, retry, &slot.retry);
+    // Every frame has had its reply: the connection holds nothing more.
+    event_transport_->Disconnect(conn_id);
+    return result;
   }();
   if (outcome.ok() && retry.trace != nullptr) {
     slot.trace = telemetry::TraceRecord{trace_id, trace.records()};
@@ -314,7 +318,7 @@ void LoadRun::RunClosed() {
     chains[arrival(i).user].push_back(i);
   }
   service::ThreadPool pool(options_.worker_threads,
-                           service::ThreadPoolOptions{0, options_.registry});
+                           service::ThreadPoolOptions{options_.registry});
   // One task per user step, re-submitting the user's next query from inside
   // itself: a user's queries run in order, one at a time, and the pool's
   // queue hand-off orders them (and the user's link) across threads.
@@ -345,7 +349,7 @@ void LoadRun::RunClosed() {
 
 void LoadRun::RunMeasured() {
   service::ThreadPool clients(kMeasuredSessions,
-                              service::ThreadPoolOptions{0, options_.registry});
+                              service::ThreadPoolOptions{options_.registry});
   const uint64_t start_ns = clock_->NowNs();
   for (size_t i = 0; i < slots_.size(); ++i) {
     // Open loop: release at the scheduled instant no matter how far behind

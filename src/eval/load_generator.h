@@ -75,8 +75,8 @@ struct LoadOptions {
   /// telemetry::VirtualClock for deterministic reports).
   telemetry::Clock* clock = nullptr;
   /// Registry receiving the run's eval.arrival.* instruments, the per-run
-  /// EventEngine's engine.* set and the closed pacing's thread-pool
-  /// instruments (null = the process-wide default).
+  /// EventEngine's engine.* set and the closed and measured pacings'
+  /// thread-pool instruments (null = the process-wide default).
   telemetry::MetricRegistry* registry = nullptr;
   /// Every Nth query (by schedule index) runs under a distributed trace —
   /// client spans merged with the server's piggybacked spans — collected

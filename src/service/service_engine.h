@@ -136,8 +136,8 @@ class ServiceEngine : public net::FrameHandler {
 
   /// Dispatch + encode for an already-decoded request — exactly the body of
   /// HandleFrame after decode, so any front end that does its own framing
-  /// (the event-driven engine::EventEngine decodes on its loop thread and
-  /// dispatches on workers) produces byte-identical response frames to the
+  /// (each engine::EventEngine worker decodes the frame it polled, then
+  /// dispatches here) produces byte-identical response frames to the
   /// thread-per-pull path by construction. Safe to call from many threads.
   std::vector<uint8_t> HandleDecoded(const net::Request& request);
 

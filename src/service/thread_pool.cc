@@ -6,15 +6,13 @@
 
 namespace spacetwist::service {
 
-ThreadPool::ThreadPool(size_t num_threads, const ThreadPoolOptions& options)
-    : max_queue_(options.max_queue) {
+ThreadPool::ThreadPool(size_t num_threads, const ThreadPoolOptions& options) {
   SPACETWIST_CHECK(num_threads >= 1);
   telemetry::MetricRegistry* registry =
       telemetry::MetricRegistry::OrDefault(options.registry);
   queue_depth_ = registry->GetGauge("service.thread_pool.queue_depth");
   queue_depth_hist_ =
       registry->GetHistogram("service.thread_pool.queue_depth_hist");
-  rejected_ = registry->GetCounter("service.thread_pool.rejected");
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -31,35 +29,17 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::Enqueue(std::function<void()> task) {
-  queue_.push_back(std::move(task));
-  ++in_flight_;
-  const auto depth = static_cast<int64_t>(queue_.size());
-  queue_depth_->Set(depth);
-  queue_depth_hist_->Record(static_cast<uint64_t>(depth));
-}
-
 void ThreadPool::Submit(std::function<void()> task) {
   {
     MutexLock lock(&mu_);
     SPACETWIST_CHECK(!stopping_);
-    Enqueue(std::move(task));
+    queue_.push_back(std::move(task));
+    ++in_flight_;
+    const auto depth = static_cast<int64_t>(queue_.size());
+    queue_depth_->Set(depth);
+    queue_depth_hist_->Record(static_cast<uint64_t>(depth));
   }
   work_cv_.NotifyOne();
-}
-
-Status ThreadPool::TrySubmit(std::function<void()> task) {
-  {
-    MutexLock lock(&mu_);
-    SPACETWIST_CHECK(!stopping_);
-    if (max_queue_ != 0 && queue_.size() >= max_queue_) {
-      rejected_->Add();
-      return Status::ResourceExhausted("thread pool queue full");
-    }
-    Enqueue(std::move(task));
-  }
-  work_cv_.NotifyOne();
-  return Status::OK();
 }
 
 void ThreadPool::Wait() {

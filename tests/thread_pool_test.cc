@@ -86,57 +86,6 @@ TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
   EXPECT_EQ(count.load(), 200);
 }
 
-TEST(ThreadPoolTest, TrySubmitRejectsBeyondMaxQueue) {
-  telemetry::MetricRegistry registry;
-  ThreadPoolOptions options;
-  options.max_queue = 2;
-  options.registry = &registry;
-  ThreadPool pool(1, options);
-
-  // Park the single worker so queued tasks stay queued.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  bool parked = false;
-  pool.Submit([&] {
-    std::unique_lock<std::mutex> lock(mu);
-    parked = true;
-    cv.notify_all();
-    cv.wait(lock, [&] { return release; });
-  });
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return parked; });
-  }
-
-  std::atomic<int> ran{0};
-  auto task = [&ran] { ran.fetch_add(1, std::memory_order_relaxed); };
-  EXPECT_TRUE(pool.TrySubmit(task).ok());
-  EXPECT_TRUE(pool.TrySubmit(task).ok());
-  // Queue now holds max_queue tasks: the bound rejects with the engine's
-  // backpressure code, and the rejected task is never run.
-  Status rejected = pool.TrySubmit(task);
-  EXPECT_EQ(rejected.code(), StatusCode::kResourceExhausted);
-
-  // Unbounded Submit still accepts (closed-loop submitters bypass the bound).
-  pool.Submit(task);
-
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    release = true;
-    cv.notify_all();
-  }
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 3);
-
-  const telemetry::RegistrySnapshot snapshot = registry.Snapshot();
-  uint64_t rejected_count = 0;
-  for (const auto& [name, value] : snapshot.counters) {
-    if (name == "service.thread_pool.rejected") rejected_count = value;
-  }
-  EXPECT_EQ(rejected_count, 1u);
-}
-
 TEST(ThreadPoolTest, QueueDepthInstrumentsTrackSubmissions) {
   telemetry::MetricRegistry registry;
   ThreadPoolOptions options;
