@@ -204,7 +204,9 @@ Result<core::QueryOutcome> LoadRun::Query(size_t i) {
   telemetry::Trace trace(clock_);
   service::RetryConfig retry;
   retry.policy = options_.policy;
-  retry.seed = ClientSeed(options_.retry_seed, a.user);
+  // Per query, not per user: a user's queries must not share a first Open
+  // nonce, or the server could link them.
+  retry.seed = QueryTraceId(options_.retry_seed, a.user, user_index_[i]);
   if (sampled || escalated) {
     retry.trace = &trace;
     retry.trace_id = trace_id;

@@ -104,9 +104,11 @@ struct LoadOptions {
   /// Set (kClosed only): every user reaches the engine through its own
   /// net::FaultyTransport, seeded ClientSeed(fault_seed, user) and kept for
   /// the whole run; the retry layer (policy below) does the surviving.
-  /// Unset: a perfect in-process link. Either way a user's sessions draw
-  /// jitter and nonces from ClientSeed(retry_seed, user), so a user's
-  /// outcomes, retries and faults depend on its own traffic alone.
+  /// Unset: a perfect in-process link. Either way each query's session
+  /// draws jitter and Open nonces from QueryTraceId(retry_seed, user,
+  /// index of the query among the user's), so a user's outcomes, retries
+  /// and faults depend on its own traffic alone, and no two queries share
+  /// a nonce the server could link them by.
   std::optional<net::FaultConfig> fault;
   service::RetryPolicy policy;
   uint64_t fault_seed = 0xFA017;

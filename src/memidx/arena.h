@@ -11,14 +11,12 @@ namespace spacetwist::memidx {
 /// Fixed-slot block arena in the style of tarantool's matras allocator: node
 /// memory is carved out of equal-sized blocks, a slot's address never moves
 /// once allocated, and slot ids are dense monotone integers. Slots are never
-/// freed individually — the paged tree's simulated disk has no free list
-/// either, and mirroring that keeps the two trees' allocation sequences (and
-/// therefore their node ids) aligned, which the byte-identity contract of
-/// the serving streams depends on.
+/// freed individually. MemRTree::CopyOf allocates one slot per page in
+/// page-id order, so slot i is page i and the child ids recorded in branch
+/// entries address slots directly.
 ///
 /// Not thread safe for allocation; read access to allocated slots is safe
-/// from any number of threads once mutation stops (the serving contract,
-/// same as the paged tree's concurrent_reads mode).
+/// from any number of threads once allocation stops.
 class Arena {
  public:
   /// `slot_bytes` is rounded up to 8-byte alignment; each block holds
@@ -41,11 +39,7 @@ class Arena {
            static_cast<size_t>(id % slots_per_block_) * slot_bytes_;
   }
 
-  size_t slot_bytes() const { return slot_bytes_; }
   size_t slots() const { return slots_; }
-  size_t bytes_reserved() const {
-    return blocks_.size() * slots_per_block_ * slot_bytes_;
-  }
 
  private:
   size_t slot_bytes_;

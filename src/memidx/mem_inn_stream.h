@@ -23,7 +23,9 @@ namespace spacetwist::memidx {
 /// MemRTree's views whatever storage is behind it, so the search loop exists
 /// once.
 
-/// MemRTree arena slots, read in place (ServingIndex::kMemidx).
+/// MemRTree arena slots, read in place (ServingIndex::kMemidx). The slots
+/// are the paged tree's pages decoded once by MemRTree::CopyOf, with the
+/// same decoders PageStore runs per fetch.
 class ArenaStore {
  public:
   using Tree = const MemRTree;
@@ -104,8 +106,8 @@ class PageStore {
 ///    PullRequest's beta points per call (PacketChannel drives it), instead
 ///    of re-entering Next() per point.
 ///
-/// `NodeStore` supplies the nodes. A MemRTree is node-for-node isomorphic
-/// to the paged tree built from the same points, and the heap tie-break
+/// `NodeStore` supplies the nodes. A MemRTree is a decoded copy of the
+/// paged tree's pages (slot i is page i), and the heap tie-break
 /// (key, point-before-node, ascending id) is the oracle's total order, so
 /// on either store the reported point sequence is byte-identical to the
 /// oracle's and the expanded nodes are the same — the differential suite

@@ -1,13 +1,9 @@
 #include "memidx/mem_rtree.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
-#include "common/logging.h"
-#include "common/strings.h"
-#include "rtree/str_pack.h"
-#include "rtree/tree_ops.h"
+#include "storage/pager.h"
 
 namespace spacetwist::memidx {
 
@@ -26,176 +22,40 @@ size_t SlotBytes(size_t page_size) {
 static_assert(sizeof(MemRTree::BranchRecord) == rtree::kBranchEntrySize,
               "BranchRecord must match the on-page branch entry layout");
 
-/// Store adapter handing the shared mutation algorithms (rtree/tree_ops.h)
-/// access to this tree's arena slots. Counterpart of RTree::PagedStore.
-struct MemRTree::MemStore {
-  MemRTree* t;
+MemRTree::MemRTree(size_t page_size)
+    : leaf_capacity_(rtree::LeafCapacity(page_size)),
+      arena_(SlotBytes(page_size)) {}
 
-  Status ReadNode(storage::PageId id, rtree::Node* node) {
-    return t->ReadNode(id, node);
-  }
-  Status WriteNode(storage::PageId id, const rtree::Node& node) {
-    return t->WriteNode(id, node);
-  }
-  storage::PageId Allocate() { return t->arena_.Allocate(); }
-  size_t leaf_capacity() const { return t->leaf_capacity(); }
-  size_t branch_capacity() const { return t->branch_capacity(); }
-  size_t min_leaf_fill() const { return t->MinLeafFill(); }
-  size_t min_branch_fill() const { return t->MinBranchFill(); }
-  storage::PageId root() const { return t->root_; }
-  void set_root(storage::PageId id) { t->root_ = id; }
-  int height() const { return t->height_; }
-  void set_height(int h) { t->height_ = h; }
-  uint64_t size() const { return t->size_; }
-  void set_size(uint64_t s) { t->size_ = s; }
-};
-
-MemRTree::MemRTree(const MemRTreeOptions& options)
-    : options_(options),
-      leaf_capacity_(rtree::LeafCapacity(options.page_size)),
-      branch_capacity_(rtree::BranchCapacity(options.page_size)),
-      arena_(SlotBytes(options.page_size)) {}
-
-Status MemRTree::ValidateOptions(const MemRTreeOptions& options) {
-  if (rtree::LeafCapacity(options.page_size) < 4 ||
-      rtree::BranchCapacity(options.page_size) < 4) {
-    return Status::InvalidArgument("page size too small for an R-tree node");
-  }
-  if (options.min_fill <= 0.0 || options.min_fill > 0.5) {
-    return Status::InvalidArgument("min_fill must be in (0, 0.5]");
-  }
-  return Status::OK();
-}
-
-Result<std::unique_ptr<MemRTree>> MemRTree::Create(
-    const MemRTreeOptions& options) {
-  SPACETWIST_RETURN_NOT_OK(ValidateOptions(options));
-  std::unique_ptr<MemRTree> tree(new MemRTree(options));
-  tree->root_ = tree->arena_.Allocate();
-  rtree::Node root;
-  root.level = 0;
-  SPACETWIST_RETURN_NOT_OK(tree->WriteNode(tree->root_, root));
-  return tree;
-}
-
-Result<std::unique_ptr<MemRTree>> MemRTree::BulkLoad(
-    const MemRTreeOptions& options, double fill,
-    std::vector<rtree::DataPoint> points) {
-  if (fill <= 0.0 || fill > 1.0) {
-    return Status::InvalidArgument("fill must be in (0, 1]");
-  }
-  if (points.empty()) {
-    // Degenerate: an empty tree via the normal construction path.
-    return Create(options);
-  }
-  SPACETWIST_RETURN_NOT_OK(ValidateOptions(options));
-  std::unique_ptr<MemRTree> tree(new MemRTree(options));
-
-  // Mirrors rtree::BulkLoad node for node: same packing capacities, same
-  // StrPack runs, same allocation order (leaves first, then each upper
-  // level) — slot i here is page i there.
-  const size_t leaf_cap = std::max<size_t>(
-      1,
-      static_cast<size_t>(rtree::LeafCapacity(options.page_size) * fill));
-  const size_t branch_cap = std::max<size_t>(
-      2,
-      static_cast<size_t>(rtree::BranchCapacity(options.page_size) * fill));
-  const uint64_t total = points.size();
-
-  // Level 0: pack the points into leaves.
-  std::vector<rtree::BranchEntry> level_entries;
-  {
-    std::vector<std::vector<rtree::DataPoint>> runs =
-        rtree::StrPack(std::move(points), leaf_cap, &rtree::StrPointCenterX,
-                       &rtree::StrPointCenterY);
-    level_entries.reserve(runs.size());
-    for (auto& run : runs) {
-      rtree::Node node;
-      node.level = 0;
-      node.points = std::move(run);
-      const storage::PageId id = tree->arena_.Allocate();
-      SPACETWIST_RETURN_NOT_OK(tree->WriteNode(id, node));
-      level_entries.push_back(rtree::BranchEntry{node.ComputeMbr(), id});
+Result<std::unique_ptr<MemRTree>> MemRTree::CopyOf(const rtree::RTree& tree) {
+  storage::Pager* pager = tree.buffer_pool()->pager();
+  std::unique_ptr<MemRTree> copy(new MemRTree(pager->page_size()));
+  storage::Page page(pager->page_size());
+  for (storage::PageId id = 0; id < pager->page_count(); ++id) {
+    SPACETWIST_RETURN_NOT_OK(pager->Read(id, &page));
+    int level = 0;
+    size_t count = 0;
+    SPACETWIST_RETURN_NOT_OK(rtree::ReadNodeHeader(page, &level, &count));
+    // Allocation is dense and monotone: this is slot `id`.
+    const uint32_t slot_id = copy->arena_.Allocate();
+    unsigned char* slot =
+        static_cast<unsigned char*>(copy->arena_.Slot(slot_id));
+    SlotHeader* header = reinterpret_cast<SlotHeader*>(slot);
+    header->level = static_cast<uint16_t>(level);
+    header->count = static_cast<uint16_t>(count);
+    if (level == 0) {
+      float* xs = reinterpret_cast<float*>(slot + kPayloadOffset);
+      float* ys = xs + copy->leaf_capacity_;
+      uint32_t* ids = reinterpret_cast<uint32_t*>(ys + copy->leaf_capacity_);
+      rtree::DecodeLeafEntries(page, count, xs, ys, ids);
+    } else {
+      std::memcpy(slot + kPayloadOffset, page.data() + rtree::kNodeHeaderSize,
+                  count * sizeof(BranchRecord));
     }
   }
-
-  // Upper levels: pack child entries until a single root remains.
-  int level = 1;
-  while (level_entries.size() > 1) {
-    std::vector<std::vector<rtree::BranchEntry>> runs =
-        rtree::StrPack(std::move(level_entries), branch_cap,
-                       &rtree::StrBranchCenterX, &rtree::StrBranchCenterY);
-    std::vector<rtree::BranchEntry> next;
-    next.reserve(runs.size());
-    for (auto& run : runs) {
-      rtree::Node node;
-      node.level = level;
-      node.branches = std::move(run);
-      const storage::PageId id = tree->arena_.Allocate();
-      SPACETWIST_RETURN_NOT_OK(tree->WriteNode(id, node));
-      next.push_back(rtree::BranchEntry{node.ComputeMbr(), id});
-    }
-    level_entries = std::move(next);
-    ++level;
-  }
-
-  tree->root_ = level_entries[0].child;
-  tree->height_ = level;
-  tree->size_ = total;
-  return tree;
-}
-
-Status MemRTree::Insert(const rtree::DataPoint& p) {
-  MemStore store{this};
-  return rtree::InsertPoint(&store, p);
-}
-
-Result<bool> MemRTree::Delete(const rtree::DataPoint& p) {
-  MemStore store{this};
-  return rtree::DeletePoint(&store, p);
-}
-
-Status MemRTree::WriteNode(storage::PageId id, const rtree::Node& node) {
-  if (id >= arena_.slots()) {
-    return Status::InvalidArgument("node id past the arena");
-  }
-  const size_t cap = node.IsLeaf() ? leaf_capacity() : branch_capacity();
-  if (node.Count() > cap) {
-    return Status::InvalidArgument(
-        StrFormat("node with %zu entries exceeds capacity %zu", node.Count(),
-                  cap));
-  }
-  if (node.level < 0 || node.level > 255) {
-    return Status::InvalidArgument("node level out of range");
-  }
-  unsigned char* slot = static_cast<unsigned char*>(arena_.Slot(id));
-  std::memset(slot, 0, arena_.slot_bytes());
-  SlotHeader* header = reinterpret_cast<SlotHeader*>(slot);
-  header->level = static_cast<uint16_t>(node.level);
-  header->count = static_cast<uint16_t>(node.Count());
-  if (node.IsLeaf()) {
-    // SoA layout; the float32 narrowing mirrors SerializeNode's PutF32.
-    float* xs = reinterpret_cast<float*>(slot + kPayloadOffset);
-    float* ys = xs + leaf_capacity();
-    uint32_t* ids = reinterpret_cast<uint32_t*>(ys + leaf_capacity());
-    for (size_t i = 0; i < node.points.size(); ++i) {
-      xs[i] = static_cast<float>(node.points[i].point.x);
-      ys[i] = static_cast<float>(node.points[i].point.y);
-      ids[i] = node.points[i].id;
-    }
-  } else {
-    BranchRecord* entries =
-        reinterpret_cast<BranchRecord*>(slot + kPayloadOffset);
-    for (size_t i = 0; i < node.branches.size(); ++i) {
-      const rtree::BranchEntry& b = node.branches[i];
-      entries[i].min_x = static_cast<float>(b.mbr.min.x);
-      entries[i].min_y = static_cast<float>(b.mbr.min.y);
-      entries[i].max_x = static_cast<float>(b.mbr.max.x);
-      entries[i].max_y = static_cast<float>(b.mbr.max.y);
-      entries[i].child = b.child;
-    }
-  }
-  return Status::OK();
+  copy->root_ = tree.root();
+  copy->height_ = tree.height();
+  copy->size_ = tree.size();
+  return copy;
 }
 
 Status MemRTree::ReadNode(storage::PageId id, rtree::Node* node) const {
@@ -227,64 +87,6 @@ Status MemRTree::ReadNode(storage::PageId id, rtree::Node* node) const {
                                  static_cast<double>(e.max_y)}},
           e.child});
     }
-  }
-  return Status::OK();
-}
-
-size_t MemRTree::MinLeafFill() const {
-  return std::max<size_t>(
-      1, static_cast<size_t>(std::floor(leaf_capacity() * options_.min_fill)));
-}
-
-size_t MemRTree::MinBranchFill() const {
-  return std::max<size_t>(
-      1,
-      static_cast<size_t>(std::floor(branch_capacity() * options_.min_fill)));
-}
-
-Status MemRTree::Validate() const {
-  uint64_t points_seen = 0;
-  SPACETWIST_RETURN_NOT_OK(ValidateSubtree(root_, height_ - 1,
-                                           geom::Rect::Empty(), true,
-                                           &points_seen));
-  if (points_seen != size_) {
-    return Status::Corruption(StrFormat(
-        "tree holds %llu points but size() reports %llu",
-        static_cast<unsigned long long>(points_seen),
-        static_cast<unsigned long long>(size_)));
-  }
-  return Status::OK();
-}
-
-Status MemRTree::ValidateSubtree(storage::PageId id, int expected_level,
-                                 const geom::Rect& parent_mbr, bool is_root,
-                                 uint64_t* points_seen) const {
-  rtree::Node node;
-  SPACETWIST_RETURN_NOT_OK(ReadNode(id, &node));
-  if (node.level != expected_level) {
-    return Status::Corruption(StrFormat("node level %d, expected %d",
-                                        node.level, expected_level));
-  }
-  if (!is_root) {
-    // Bulk loading may leave trailing nodes below the insert-path fill
-    // factor, so only emptiness is a structural violation here.
-    if (node.Count() < 1) {
-      return Status::Corruption("empty non-root node");
-    }
-    const geom::Rect mbr = node.ComputeMbr();
-    if (!parent_mbr.Contains(mbr)) {
-      return Status::Corruption("parent MBR does not contain child MBR");
-    }
-  } else if (!node.IsLeaf() && node.Count() < 2) {
-    return Status::Corruption("branch root with fewer than 2 children");
-  }
-  if (node.IsLeaf()) {
-    *points_seen += node.points.size();
-    return Status::OK();
-  }
-  for (const rtree::BranchEntry& b : node.branches) {
-    SPACETWIST_RETURN_NOT_OK(ValidateSubtree(b.child, expected_level - 1,
-                                             b.mbr, false, points_seen));
   }
   return Status::OK();
 }

@@ -1,13 +1,63 @@
 #include "rtree/bulk_load.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.h"
 #include "rtree/node.h"
-#include "rtree/str_pack.h"
 #include "storage/page.h"
 
 namespace spacetwist::rtree {
+
+namespace {
+
+/// Groups `items` (sorted globally by x-center, then per vertical slice by
+/// y-center) into STR tiles and emits runs of at most `node_cap` items, each
+/// run becoming one node. Returns the runs in packing order.
+template <typename Item>
+std::vector<std::vector<Item>> StrPack(std::vector<Item> items,
+                                       size_t node_cap,
+                                       double (*center_x)(const Item&),
+                                       double (*center_y)(const Item&)) {
+  const size_t n = items.size();
+  const size_t node_count =
+      (n + node_cap - 1) / node_cap;  // ceil(n / cap)
+  const size_t slice_count = static_cast<size_t>(
+      std::ceil(std::sqrt(static_cast<double>(node_count))));
+  const size_t slice_size = slice_count * node_cap;
+
+  std::sort(items.begin(), items.end(), [&](const Item& a, const Item& b) {
+    return center_x(a) < center_x(b);
+  });
+
+  std::vector<std::vector<Item>> runs;
+  runs.reserve(node_count);
+  for (size_t begin = 0; begin < n; begin += slice_size) {
+    const size_t end = std::min(n, begin + slice_size);
+    std::sort(items.begin() + begin, items.begin() + end,
+              [&](const Item& a, const Item& b) {
+                return center_y(a) < center_y(b);
+              });
+    for (size_t run = begin; run < end; run += node_cap) {
+      const size_t run_end = std::min(end, run + node_cap);
+      runs.emplace_back(items.begin() + run, items.begin() + run_end);
+    }
+  }
+  return runs;
+}
+
+/// STR sort coordinates: point coordinates for leaves, MBR centers (times
+/// two — only the order matters) for branch entries.
+double StrPointCenterX(const DataPoint& p) { return p.point.x; }
+double StrPointCenterY(const DataPoint& p) { return p.point.y; }
+double StrBranchCenterX(const BranchEntry& b) {
+  return b.mbr.min.x + b.mbr.max.x;
+}
+double StrBranchCenterY(const BranchEntry& b) {
+  return b.mbr.min.y + b.mbr.max.y;
+}
+
+}  // namespace
 
 Result<std::unique_ptr<RTree>> BulkLoad(storage::Pager* pager,
                                         const BulkLoadOptions& options,

@@ -30,7 +30,8 @@ struct RTreeOptions {
 /// Disk-page-based R-tree over 2-D points, in the spirit of Guttman's R-tree
 /// with R*-style subtree choice and split. This is the server's POI index;
 /// the SpaceTwist server runs incremental NN (see InnCursor) and the
-/// granular search (server/granular_inn.h) on top of it.
+/// granular search (server/granular_inn.h) on top of it, and the in-memory
+/// serving index (memidx::MemRTree) is a decoded copy of its pages.
 ///
 /// Not thread safe; the reproduction's client/server simulation is
 /// single-threaded and deterministic by design.
@@ -56,16 +57,18 @@ class RTree {
   size_t leaf_capacity() const { return LeafCapacity(options_.page_size); }
   size_t branch_capacity() const { return BranchCapacity(options_.page_size); }
 
-  /// Inserts one point (duplicates allowed, as in any spatial index).
+  /// Inserts one point (duplicates allowed, as in any spatial index),
+  /// growing the root on overflow.
   Status Insert(const DataPoint& p);
 
-  /// Removes one entry matching `p` exactly (location and id). Returns
-  /// whether an entry was found and removed. Coordinates are stored as
-  /// float32 on disk, so `p.point` must be float32-representable (datasets
-  /// generated by this library always are) or the entry will not match.
-  /// Pages of condensed (dissolved) nodes are not recycled — the simulated
-  /// disk has no free list; the simulation's workloads are read-mostly and
-  /// the leak is bounded by the number of deletes.
+  /// Removes one entry matching `p` exactly (location and id), condensing
+  /// underfull nodes and reinserting their orphans. Returns whether an
+  /// entry was found and removed. Coordinates are stored as float32 on
+  /// disk, so `p.point` must be float32-representable (datasets generated
+  /// by this library always are) or the entry will not match. Pages of
+  /// condensed (dissolved) nodes are not recycled — the simulated disk has
+  /// no free list; the simulation's workloads are read-mostly and the leak
+  /// is bounded by the number of deletes.
   Result<bool> Delete(const DataPoint& p);
 
   /// Appends every point inside `window` to `*out`.
@@ -92,13 +95,22 @@ class RTree {
                                                  int height, uint64_t size);
 
  private:
-  /// Store adapter for the shared mutation algorithms in rtree/tree_ops.h.
-  struct PagedStore;
-  friend struct PagedStore;
+  /// What a recursive insert / delete reports to its parent (rtree.cc).
+  struct InsertOutcome;
+  struct DeleteOutcome;
 
   RTree(storage::Pager* pager, const RTreeOptions& options);
 
   Status WriteNode(storage::PageId id, const Node& node);
+
+  Result<InsertOutcome> InsertIntoSubtree(storage::PageId node_id,
+                                          const DataPoint& p);
+  Result<DeleteOutcome> DeleteFromSubtree(storage::PageId node_id,
+                                          const DataPoint& p,
+                                          std::vector<DataPoint>* orphans);
+  /// Collects every data point stored under `node_id`.
+  Status CollectSubtreePoints(storage::PageId node_id,
+                              std::vector<DataPoint>* out);
 
   Status ValidateSubtree(storage::PageId node_id, int expected_level,
                          const geom::Rect& parent_mbr, bool is_root,

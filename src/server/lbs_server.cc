@@ -17,12 +17,8 @@ Result<std::unique_ptr<LbsServer>> LbsServer::Build(
       server->tree_,
       rtree::BulkLoad(server->pager_.get(), bulk, dataset.points));
   if (serving == ServingIndex::kMemidx) {
-    memidx::MemRTreeOptions mem_options;
-    mem_options.page_size = options.page_size;
-    mem_options.min_fill = options.min_fill;
-    SPACETWIST_ASSIGN_OR_RETURN(
-        server->mem_tree_,
-        memidx::MemRTree::BulkLoad(mem_options, /*fill=*/1.0, dataset.points));
+    SPACETWIST_ASSIGN_OR_RETURN(server->mem_tree_,
+                                memidx::MemRTree::CopyOf(*server->tree_));
   }
   return server;
 }

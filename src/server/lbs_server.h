@@ -28,8 +28,9 @@ enum class ServingIndex {
   /// The paged R-tree's pages through the buffer pool — the paper-fidelity
   /// I/O-cost model; every page touch is accounted in io_stats().
   kPaged,
-  /// The memtx-style in-memory tree (src/memidx), structurally isomorphic
-  /// to the paged tree: no pages, no pool.
+  /// The memtx-style in-memory tree (src/memidx), copied from the paged
+  /// tree's pages after the bulk load (slot i is page i): no pool on the
+  /// serving path.
   kMemidx,
 };
 
@@ -48,10 +49,11 @@ enum class ServingIndex {
 class LbsServer : public InnBackend {
  public:
   /// Bulk-loads the dataset into a fresh R-tree. With
-  /// ServingIndex::kMemidx, an in-memory mirror of the same tree is built
-  /// alongside and the serving path (OpenInnSource) answers from it; the
-  /// paged tree stays authoritative for the I/O-cost metrics and the
-  /// baseline query paths.
+  /// ServingIndex::kMemidx, the loaded pages are then decoded into an
+  /// in-memory copy (memidx::MemRTree::CopyOf, which bypasses the buffer
+  /// pool) and the serving path (OpenInnSource) answers from it; the paged
+  /// tree stays authoritative for the I/O-cost metrics and the baseline
+  /// query paths.
   static Result<std::unique_ptr<LbsServer>> Build(
       const datasets::Dataset& dataset,
       const rtree::RTreeOptions& options = rtree::RTreeOptions(),

@@ -1,6 +1,8 @@
 #include "service/service_engine.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 #include <variant>
 
@@ -83,7 +85,17 @@ Result<uint64_t> ServiceEngine::Open(const geom::Point& anchor, double epsilon,
   counters_.open_requests.fetch_add(1, kRelaxed);
   instruments_.open_requests->Add();
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (epsilon < 0.0) return Status::InvalidArgument("epsilon must be >= 0");
+  // Written so NaN fails too. Past FLT_MAX the kernel's float32 cell
+  // boundaries overflow, and its scan never ends.
+  const auto in_float_range = [](double v) {
+    return std::fabs(v) <= std::numeric_limits<float>::max();
+  };
+  if (!in_float_range(anchor.x) || !in_float_range(anchor.y)) {
+    return Status::InvalidArgument("anchor must be finite float32");
+  }
+  if (!in_float_range(epsilon) || epsilon < 0.0) {
+    return Status::InvalidArgument("epsilon must be finite float32 and >= 0");
+  }
 
   const uint64_t now = NowNs();
 

@@ -105,8 +105,10 @@ class ServiceEngine : public net::FrameHandler {
   ServiceEngine& operator=(const ServiceEngine&) = delete;
 
   /// Opens a granular INN session (epsilon == 0 gives exact INN).
-  /// kResourceExhausted once `max_sessions` sessions are live and none is
-  /// evictable.
+  /// kInvalidArgument for k < 1, a negative epsilon, or an anchor
+  /// coordinate or epsilon that is NaN or beyond float32's range (every
+  /// coordinate here is float32). kResourceExhausted once `max_sessions`
+  /// sessions are live and none is evictable.
   Result<uint64_t> Open(const geom::Point& anchor, double epsilon, size_t k);
 
   /// Pulls the session's next packet; kExhausted when the stream is dry,

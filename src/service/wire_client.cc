@@ -39,8 +39,9 @@ WireSession::WireSession(net::FrameTransport* transport,
       anchor_(anchor),
       epsilon_(epsilon),
       k_(k),
-      trace_id_(retry.trace_id != 0 ? retry.trace_id
-                                    : DeriveTraceId(retry.seed)),
+      trace_id_(retry.trace == nullptr ? 0
+                : retry.trace_id != 0    ? retry.trace_id
+                                         : DeriveTraceId(retry.seed)),
       sampled_(retry.trace != nullptr) {
   if (retry_.trace != nullptr && retry_.trace->trace_id() == 0) {
     retry_.trace->set_trace_id(trace_id_);

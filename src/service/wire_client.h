@@ -61,10 +61,11 @@ struct RetryConfig {
   /// into `trace` (nested under the wire.pull/wire.close span that carried
   /// them) — one trace tree spanning both tiers.
   telemetry::Trace* trace = nullptr;
-  /// 64-bit id identifying the query's trace across tiers. 0 (the default)
-  /// derives one deterministically from `seed` — distinct from everything
-  /// the session's Rng produces, so existing nonce/jitter streams are
-  /// unchanged.
+  /// 64-bit id identifying the query's trace across tiers; used only with
+  /// `trace` attached. 0 (the default) derives one deterministically from
+  /// `seed` — distinct from everything the session's Rng produces, so
+  /// existing nonce/jitter streams are unchanged. Unsampled requests carry
+  /// trace id 0, which links no two queries.
   uint64_t trace_id = 0;
 };
 
@@ -141,7 +142,8 @@ class WireSession : public net::PacketTransport {
   uint64_t next_seq() const { return next_seq_; }
   bool closed() const { return closed_; }
   const RetryStats& retry_stats() const { return stats_; }
-  /// The distributed-trace id this session stamps on sampled requests.
+  /// The distributed-trace id this session stamps on its requests; 0
+  /// unless a trace is attached.
   uint64_t trace_id() const { return trace_id_; }
 
  private:

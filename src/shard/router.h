@@ -34,7 +34,8 @@ struct ShardRouterOptions {
   /// queries' shard streams read a shard at once).
   rtree::RTreeOptions rtree;
   /// Which index each shard serves from (paged R-tree or the in-memory
-  /// mirror); the merged output stream is byte-identical either way.
+  /// copy of its pages); the merged output stream is byte-identical either
+  /// way.
   server::ServingIndex serving = server::ServingIndex::kPaged;
   /// Options for the fronting ServiceEngine (the one clients talk to). Its
   /// granular registry defaults to `registry` below, so the router's

@@ -24,16 +24,19 @@ namespace {
 
 /// Differential suite: both serving streams — the frontier kernel on the
 /// memidx arena and on the paged tree's buffer-pool pages — against the
-/// paged GranularInnStream as oracle. Both trees are built from the same
-/// point sequence and mutated by the same seeded insert/delete
-/// interleavings; the tests then assert
+/// paged GranularInnStream as oracle. The paged tree is bulk-loaded, and in
+/// the churn test mutated by a seeded insert/delete interleaving; the arena
+/// is a MemRTree::CopyOf its pages, taken again at every checkpoint. The
+/// tests then assert
 ///  * node-for-node structural isomorphism (slot i == page i, same entries
-///    in the same order, same float32-narrowed coordinates),
+///    in the same order, same float32 coordinates),
 ///  * exact (distance, id) stream equality of the granular INN sessions —
 ///    every rank through exhaustion, quantized-duplicate ties included —
 ///    across dataset shapes, k, epsilon, and churn, and
 ///  * for the paged serving stream, the oracle's node reads and page reads
-///    in the oracle's order.
+///    in the oracle's order, and
+///  * that the copy reads no page through the buffer pool and refuses an
+///    overfull page.
 /// Byte-identity of the wire levels on top of these streams is pinned by
 /// memidx_wire_identity_test.cc.
 
@@ -87,9 +90,7 @@ Pair BuildPair(const datasets::Dataset& ds) {
   options.buffer_pool_pages = kPoolPages;
   pair.server = server::LbsServer::Build(ds, options).MoveValueOrDie();
   pair.paged = pair.server->tree();
-  pair.mem = memidx::MemRTree::BulkLoad(memidx::MemRTreeOptions(),
-                                        /*fill=*/1.0, ds.points)
-                 .MoveValueOrDie();
+  pair.mem = memidx::MemRTree::CopyOf(*pair.paged).MoveValueOrDie();
   return pair;
 }
 
@@ -281,8 +282,9 @@ TEST_P(IndexDifferentialTest, ChurnedTreesStayIsomorphicAndStreamsExact) {
   ds.points.resize(ds.points.size() / 4);  // headroom for split coverage
   Pair pair = BuildPair(ds);
 
-  // Seeded insert/delete interleaving applied identically to both trees;
-  // inserts are float32-quantized like every dataset producer.
+  // Seeded insert/delete interleaving on the paged tree, re-copied into the
+  // arena at each checkpoint; inserts are float32-quantized like every
+  // dataset producer.
   Rng rng(100);
   std::vector<rtree::DataPoint> live = ds.points;
   uint32_t next_id = 1u << 20;
@@ -298,22 +300,18 @@ TEST_P(IndexDifferentialTest, ChurnedTreesStayIsomorphicAndStreamsExact) {
                       .point;  // duplicate location, fresh id: a forced tie
       }
       ASSERT_TRUE(pair.paged->Insert(p).ok());
-      ASSERT_TRUE(pair.mem->Insert(p).ok());
       live.push_back(p);
     } else {
       const size_t idx = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
-      Result<bool> a = pair.paged->Delete(live[idx]);
-      Result<bool> b = pair.mem->Delete(live[idx]);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      ASSERT_TRUE(*a);
-      ASSERT_TRUE(*b);
+      Result<bool> deleted = pair.paged->Delete(live[idx]);
+      ASSERT_TRUE(deleted.ok());
+      ASSERT_TRUE(*deleted);
       live.erase(live.begin() + idx);
     }
     if (op % 150 == 149) {
       ASSERT_TRUE(pair.paged->Validate().ok()) << "after op " << op;
-      ASSERT_TRUE(pair.mem->Validate().ok()) << "after op " << op;
+      pair.mem = memidx::MemRTree::CopyOf(*pair.paged).MoveValueOrDie();
       ExpectIsomorphic(&pair);
       ExpectStreamsEqual(&pair, {5000, 5000}, c.epsilon, c.k,
                          /*batched=*/op % 300 == 299);
@@ -336,9 +334,18 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{"DUP", 16, 500.0}),
     CaseName);
 
-/// Rewrites page `id` in place with an entry count one past its level's
-/// capacity.
-void OverfillPage(rtree::RTree* tree, storage::PageId id) {
+/// Rewrites a page in place with an entry count one past its level's
+/// capacity: the root (a branch on every dataset here) or, with `leaf`, the
+/// leftmost leaf.
+void OverfillPage(rtree::RTree* tree, bool leaf) {
+  rtree::Node node;
+  storage::PageId id = tree->root();
+  ASSERT_TRUE(tree->ReadNode(id, &node).ok());
+  ASSERT_FALSE(node.IsLeaf());
+  while (leaf && !node.IsLeaf()) {
+    id = node.branches[0].child;
+    ASSERT_TRUE(tree->ReadNode(id, &node).ok());
+  }
   storage::BufferPool* pool = tree->buffer_pool();
   storage::Page page = *pool->Fetch(id).MoveValueOrDie();
   const size_t cap = page.GetU8(0) == 0 ? tree->leaf_capacity()
@@ -353,18 +360,7 @@ void OverfillPage(rtree::RTree* tree, storage::PageId id) {
 TEST(PagedServingStreamTest, OverfullPageIsCorruption) {
   for (const bool leaf : {true, false}) {
     Pair pair = BuildPair(MakeData("UI"));
-    rtree::Node root;
-    ASSERT_TRUE(pair.paged->ReadNode(pair.paged->root(), &root).ok());
-    ASSERT_FALSE(root.IsLeaf());
-    storage::PageId victim = pair.paged->root();
-    if (leaf) {
-      rtree::Node node = root;
-      while (!node.IsLeaf()) {
-        victim = node.branches[0].child;
-        ASSERT_TRUE(pair.paged->ReadNode(victim, &node).ok());
-      }
-    }
-    OverfillPage(pair.paged, victim);
+    OverfillPage(pair.paged, leaf);
     std::unique_ptr<memidx::PagedInnStream> stream = OpenPagedServing(
         &pair, {0, 0}, 0.0, 1, server::GranularOptions());
     ASSERT_NE(stream, nullptr);
@@ -377,6 +373,49 @@ TEST(PagedServingStreamTest, OverfullPageIsCorruption) {
     EXPECT_TRUE(status.IsCorruption())
         << (leaf ? "leaf" : "branch") << ": " << status.ToString();
   }
+}
+
+/// CopyOf checks each page's header before decoding it, as the page store
+/// does per fetch: an overfull page is kCorruption, never a decode past the
+/// page or the arena slot.
+TEST(MemRTreeCopyTest, OverfullPageIsCorruption) {
+  for (const bool leaf : {true, false}) {
+    Pair pair = BuildPair(MakeData("UI"));
+    OverfillPage(pair.paged, leaf);
+    const Result<std::unique_ptr<memidx::MemRTree>> copy =
+        memidx::MemRTree::CopyOf(*pair.paged);
+    EXPECT_TRUE(copy.status().IsCorruption())
+        << (leaf ? "leaf" : "branch") << ": " << copy.status().ToString();
+  }
+}
+
+/// The pool's LRU, stats and the storage.buffer_pool.* counters are the
+/// paged tree's I/O-cost metric, so the copy reads the pager directly: a
+/// kMemidx build leaves the pool cold and the counters where they were.
+TEST(MemRTreeCopyTest, MemidxBuildLeavesTheBufferPoolCold) {
+  const datasets::Dataset ds = MakeData("UI");
+  telemetry::MetricRegistry* registry = telemetry::MetricRegistry::Default();
+  telemetry::Counter* hits = registry->GetCounter("storage.buffer_pool.hits");
+  telemetry::Counter* misses =
+      registry->GetCounter("storage.buffer_pool.misses");
+  const uint64_t hits_before = hits->value();
+  const uint64_t misses_before = misses->value();
+
+  std::unique_ptr<server::LbsServer> lbs =
+      server::LbsServer::Build(ds, rtree::RTreeOptions(),
+                               server::ServingIndex::kMemidx)
+          .MoveValueOrDie();
+  ASSERT_NE(lbs->mem_tree(), nullptr);
+  EXPECT_EQ(lbs->mem_tree()->size(), ds.points.size());
+
+  const storage::IoStats io = lbs->io_stats();
+  EXPECT_EQ(io.logical_reads, 0u);
+  EXPECT_EQ(io.physical_reads, 0u);
+  EXPECT_EQ(io.physical_writes, 0u);
+  EXPECT_EQ(io.pages_allocated, 0u);
+  EXPECT_EQ(lbs->tree()->buffer_pool()->cached_pages(), 0u);
+  EXPECT_EQ(hits->value(), hits_before);
+  EXPECT_EQ(misses->value(), misses_before);
 }
 
 /// Every "server.page.fetch" span notes whether *that* fetch missed, even

@@ -1,15 +1,55 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <variant>
 #include <vector>
 
 #include "datasets/generator.h"
 #include "eval/load_generator.h"
+#include "net/wire.h"
 #include "server/lbs_server.h"
 #include "service/service_engine.h"
 
 namespace spacetwist::eval {
 namespace {
+
+/// Logs what identifies a query on the wire: every Open's nonce, and the
+/// trace id of every Open and Pull.
+class WireIdentityLog : public service::ServiceEngine {
+ public:
+  using ServiceEngine::ServiceEngine;
+
+  std::vector<uint8_t> HandleFrame(const std::vector<uint8_t>& frame) override {
+    Result<net::Request> request = net::DecodeRequest(frame);
+    if (request.ok()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (const auto* open = std::get_if<net::OpenRequest>(&*request)) {
+        nonces_.push_back(open->nonce);
+        trace_ids_.insert(open->trace_id);
+      } else if (const auto* pull = std::get_if<net::PullRequest>(&*request)) {
+        trace_ids_.insert(pull->trace_id);
+      }
+    }
+    return ServiceEngine::HandleFrame(frame);
+  }
+
+  std::vector<uint64_t> nonces() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return nonces_;
+  }
+  std::set<uint64_t> trace_ids() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return trace_ids_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<uint64_t> nonces_;
+  std::set<uint64_t> trace_ids_;
+};
 
 class LoadGeneratorTest : public ::testing::Test {
  protected:
@@ -84,6 +124,21 @@ TEST_F(LoadGeneratorTest, DistinctClientsGetDistinctWorkloads) {
       EXPECT_NE((*digests)[i].result_hash, (*digests)[j].result_hash);
     }
   }
+}
+
+/// Nothing on the wire links two queries of one user: each query's Open
+/// draws its own nonce, and unsampled requests carry trace id 0.
+TEST_F(LoadGeneratorTest, EveryQueryHasItsOwnWireIdentity) {
+  WireIdentityLog engine(server_.get());
+  LoadOptions options;
+  options.worker_threads = 2;
+  auto report = RunLoad(&engine, Closed(5, 6), options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->completed, 30u);
+  const std::vector<uint64_t> nonces = engine.nonces();
+  EXPECT_EQ(nonces.size(), 30u);  // one Open per query on a perfect link
+  EXPECT_EQ(std::set<uint64_t>(nonces.begin(), nonces.end()).size(), 30u);
+  EXPECT_EQ(engine.trace_ids(), std::set<uint64_t>{0});
 }
 
 TEST_F(LoadGeneratorTest, ValidatesOptions) {

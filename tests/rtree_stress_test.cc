@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "memidx/mem_rtree.h"
 #include "rtree/bulk_load.h"
 #include "rtree/rtree.h"
 #include "storage/pager.h"
@@ -166,14 +165,11 @@ TEST(RTreeEdgeTest, PointsOnDomainBoundary) {
 
 /// Unquantized point producers must fail loudly: node writes narrow
 /// coordinates to float32, so a Delete keyed on the original full-precision
-/// double misses, and only the requantized key round-trips. Pinned for both
-/// the paged tree and the memidx serving tree so neither backend silently
-/// "finds" a nearby entry.
-TEST(RTreeQuantizeTest, DeleteAfterRequantizeRoundTripsInBothBackends) {
+/// double misses, and only the requantized key round-trips — the tree never
+/// silently "finds" a nearby entry.
+TEST(RTreeQuantizeTest, DeleteAfterRequantizeRoundTrips) {
   storage::Pager pager;
-  auto paged = RTree::Create(&pager, RTreeOptions()).MoveValueOrDie();
-  auto mem =
-      memidx::MemRTree::Create(memidx::MemRTreeOptions()).MoveValueOrDie();
+  auto tree = RTree::Create(&pager, RTreeOptions()).MoveValueOrDie();
 
   Rng rng(606);
   std::vector<DataPoint> unquantized;
@@ -181,8 +177,7 @@ TEST(RTreeQuantizeTest, DeleteAfterRequantizeRoundTripsInBothBackends) {
     // Full-precision doubles: almost surely not float32-representable.
     const DataPoint p{{rng.Uniform(0, 10000), rng.Uniform(0, 10000)}, i};
     unquantized.push_back(p);
-    ASSERT_TRUE(paged->Insert(p).ok());
-    ASSERT_TRUE(mem->Insert(p).ok());
+    ASSERT_TRUE(tree->Insert(p).ok());
   }
 
   const auto requantize = [](const DataPoint& p) {
@@ -195,29 +190,19 @@ TEST(RTreeQuantizeTest, DeleteAfterRequantizeRoundTripsInBothBackends) {
     const DataPoint q = requantize(p);
     if (q == p) continue;  // landed on a float32 grid point; nothing to pin
     // The loud failure: the producer's own key no longer matches.
-    auto paged_miss = paged->Delete(p);
-    auto mem_miss = mem->Delete(p);
-    ASSERT_TRUE(paged_miss.ok());
-    ASSERT_TRUE(mem_miss.ok());
-    EXPECT_FALSE(*paged_miss) << "id " << p.id;
-    EXPECT_FALSE(*mem_miss) << "id " << p.id;
+    auto miss = tree->Delete(p);
+    ASSERT_TRUE(miss.ok());
+    EXPECT_FALSE(*miss) << "id " << p.id;
     // The requantized key is what the tree actually stored.
-    auto paged_hit = paged->Delete(q);
-    auto mem_hit = mem->Delete(q);
-    ASSERT_TRUE(paged_hit.ok());
-    ASSERT_TRUE(mem_hit.ok());
-    EXPECT_TRUE(*paged_hit) << "id " << p.id;
-    EXPECT_TRUE(*mem_hit) << "id " << p.id;
+    auto hit = tree->Delete(q);
+    ASSERT_TRUE(hit.ok());
+    EXPECT_TRUE(*hit) << "id " << p.id;
     // And a second delete confirms the entry is really gone, not shadowed.
-    auto paged_gone = paged->Delete(q);
-    auto mem_gone = mem->Delete(q);
-    ASSERT_TRUE(paged_gone.ok());
-    ASSERT_TRUE(mem_gone.ok());
-    EXPECT_FALSE(*paged_gone);
-    EXPECT_FALSE(*mem_gone);
+    auto gone = tree->Delete(q);
+    ASSERT_TRUE(gone.ok());
+    EXPECT_FALSE(*gone);
   }
-  ASSERT_TRUE(paged->Validate().ok());
-  ASSERT_TRUE(mem->Validate().ok());
+  ASSERT_TRUE(tree->Validate().ok());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <variant>
@@ -202,6 +203,57 @@ TEST_F(ServiceEngineTest, WireErrorsCarryTheStatusCode) {
   error = std::get_if<net::ErrorReply>(&*reply);
   ASSERT_NE(error, nullptr);
   EXPECT_TRUE(net::ToStatus(*error).IsResourceExhausted());
+}
+
+/// A CRC-valid Open whose epsilon or anchor is NaN, infinite or beyond
+/// float32's range is kInvalidArgument on the wire. Unchecked, NaN aborts
+/// the serving kernel and an infinite epsilon never returns from the first
+/// pull; the engine keeps serving afterwards.
+TEST_F(ServiceEngineTest, NonFiniteOpenParametersAreInvalidArgument) {
+  ServiceEngine engine(server_.get());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Bad {
+    const char* what;
+    geom::Point anchor;
+    double epsilon;
+  };
+  // NaN first: an unchecked engine aborts on it rather than hanging.
+  const std::vector<Bad> bad = {
+      {"epsilon NaN", {5000, 5000}, nan},
+      {"epsilon +inf", {5000, 5000}, inf},
+      {"epsilon 5e38", {5000, 5000}, 5e38},
+      {"anchor.x NaN", {nan, 5000}, 0.0},
+  };
+  for (const Bad& b : bad) {
+    net::OpenRequest open;
+    open.anchor = b.anchor;
+    open.epsilon = b.epsilon;
+    open.k = 1;
+    auto reply =
+        net::DecodeResponse(engine.HandleFrame(net::EncodeRequest(open)));
+    ASSERT_TRUE(reply.ok()) << b.what;
+    const auto* error = std::get_if<net::ErrorReply>(&*reply);
+    ASSERT_NE(error, nullptr) << b.what;
+    EXPECT_TRUE(net::ToStatus(*error).IsInvalidArgument()) << b.what;
+  }
+  EXPECT_EQ(engine.open_sessions(), 0u);
+
+  net::OpenRequest open;
+  open.anchor = {5000, 5000};
+  open.epsilon = 50.0;
+  open.k = 4;
+  auto reply =
+      net::DecodeResponse(engine.HandleFrame(net::EncodeRequest(open)));
+  ASSERT_TRUE(reply.ok());
+  const auto* opened = std::get_if<net::OpenOk>(&*reply);
+  ASSERT_NE(opened, nullptr);
+  reply = net::DecodeResponse(engine.HandleFrame(
+      net::EncodeRequest(net::PullRequest{opened->session_id})));
+  ASSERT_TRUE(reply.ok());
+  const auto* packet = std::get_if<net::PacketReply>(&*reply);
+  ASSERT_NE(packet, nullptr);
+  EXPECT_EQ(packet->packet.size(), 67u);
 }
 
 TEST_F(ServiceEngineTest, MalformedFramesGetErrorRepliesNotCrashes) {
