@@ -230,7 +230,8 @@ Status ReadTraceContext(WireReader* r, uint64_t* trace_id, bool* sampled) {
   return Status::OK();
 }
 
-/// Span piggyback block (v3), appended to PacketReply and CloseOk payloads:
+/// Span piggyback block (v3), appended to OpenOk (v4), PacketReply and
+/// CloseOk payloads:
 ///
 ///   uint16  span_count
 ///   per span:
@@ -318,6 +319,41 @@ Result<std::vector<telemetry::SpanRecord>> ReadSpans(WireReader* r) {
   return spans;
 }
 
+/// Point block shared by OpenOk (v4) and PacketReply: u16 count, then
+/// count x (f32 x, f32 y, u32 id). The engine caps packets at
+/// PacketConfig::Capacity() (<= a few hundred points), so a u16 count is
+/// ample and keeps the frame tight.
+void PutPoints(std::vector<uint8_t>* out, const Packet& packet) {
+  PutU16(out, static_cast<uint16_t>(packet.points.size()));
+  for (const rtree::DataPoint& p : packet.points) {
+    PutF32(out, static_cast<float>(p.point.x));
+    PutF32(out, static_cast<float>(p.point.y));
+    PutU32(out, p.id);
+  }
+}
+
+Result<Packet> ReadPoints(WireReader* r) {
+  SPACETWIST_ASSIGN_OR_RETURN(uint16_t count, r->ReadU16());
+  if (count > kMaxWirePointsPerFrame) {
+    return Status::Corruption("point count exceeds frame limit");
+  }
+  if (r->remaining() < count * kWirePointBytes) {
+    return Status::Corruption(
+        StrFormat("packet payload size mismatch for %u points", count));
+  }
+  Packet packet;
+  packet.points.reserve(count);
+  for (uint16_t i = 0; i < count; ++i) {
+    rtree::DataPoint p;
+    SPACETWIST_ASSIGN_OR_RETURN(float x, r->ReadF32());
+    SPACETWIST_ASSIGN_OR_RETURN(float y, r->ReadF32());
+    SPACETWIST_ASSIGN_OR_RETURN(p.id, r->ReadU32());
+    p.point = {x, y};
+    packet.points.push_back(p);
+  }
+  return packet;
+}
+
 Result<OpenRequest> DecodeOpenPayload(WireReader* r) {
   OpenRequest msg;
   SPACETWIST_ASSIGN_OR_RETURN(msg.anchor.x, r->ReadF64());
@@ -330,27 +366,20 @@ Result<OpenRequest> DecodeOpenPayload(WireReader* r) {
   return msg;
 }
 
+Result<OpenOk> DecodeOpenOkPayload(WireReader* r) {
+  OpenOk msg;
+  SPACETWIST_ASSIGN_OR_RETURN(msg.session_id, r->ReadU64());
+  SPACETWIST_ASSIGN_OR_RETURN(msg.nonce, r->ReadU64());
+  SPACETWIST_ASSIGN_OR_RETURN(msg.packet, ReadPoints(r));
+  SPACETWIST_ASSIGN_OR_RETURN(msg.server_spans, ReadSpans(r));
+  return msg;
+}
+
 Result<PacketReply> DecodePacketPayload(WireReader* r) {
   PacketReply msg;
   SPACETWIST_ASSIGN_OR_RETURN(msg.session_id, r->ReadU64());
   SPACETWIST_ASSIGN_OR_RETURN(msg.seq, r->ReadU64());
-  SPACETWIST_ASSIGN_OR_RETURN(uint16_t count, r->ReadU16());
-  if (count > kMaxWirePointsPerFrame) {
-    return Status::Corruption("point count exceeds frame limit");
-  }
-  if (r->remaining() < count * kWirePointBytes) {
-    return Status::Corruption(
-        StrFormat("packet payload size mismatch for %u points", count));
-  }
-  msg.packet.points.reserve(count);
-  for (uint16_t i = 0; i < count; ++i) {
-    rtree::DataPoint p;
-    SPACETWIST_ASSIGN_OR_RETURN(float x, r->ReadF32());
-    SPACETWIST_ASSIGN_OR_RETURN(float y, r->ReadF32());
-    SPACETWIST_ASSIGN_OR_RETURN(p.id, r->ReadU32());
-    p.point = {x, y};
-    msg.packet.points.push_back(p);
-  }
+  SPACETWIST_ASSIGN_OR_RETURN(msg.packet, ReadPoints(r));
   SPACETWIST_ASSIGN_OR_RETURN(msg.server_spans, ReadSpans(r));
   return msg;
 }
@@ -405,19 +434,13 @@ std::vector<uint8_t> EncodeResponse(const Response& response) {
     type = MessageType::kOpenOk;
     PutU64(&payload, ok->session_id);
     PutU64(&payload, ok->nonce);
+    PutPoints(&payload, ok->packet);
+    PutSpans(&payload, ok->server_spans);
   } else if (const auto* packet = std::get_if<PacketReply>(&response)) {
     type = MessageType::kPacket;
     PutU64(&payload, packet->session_id);
     PutU64(&payload, packet->seq);
-    const std::vector<rtree::DataPoint>& points = packet->packet.points;
-    // The engine caps packets at PacketConfig::Capacity() (<= a few hundred);
-    // a uint16 count is ample and keeps the frame tight.
-    PutU16(&payload, static_cast<uint16_t>(points.size()));
-    for (const rtree::DataPoint& p : points) {
-      PutF32(&payload, static_cast<float>(p.point.x));
-      PutF32(&payload, static_cast<float>(p.point.y));
-      PutU32(&payload, p.id);
-    }
+    PutPoints(&payload, packet->packet);
     PutSpans(&payload, packet->server_spans);
   } else if (const auto* closed = std::get_if<CloseOk>(&response)) {
     type = MessageType::kCloseOk;
@@ -477,11 +500,9 @@ Result<Response> DecodeResponse(const uint8_t* data, size_t size) {
   WireReader& r = frame.second;
   switch (frame.first) {
     case MessageType::kOpenOk: {
-      OpenOk msg;
-      SPACETWIST_ASSIGN_OR_RETURN(msg.session_id, r.ReadU64());
-      SPACETWIST_ASSIGN_OR_RETURN(msg.nonce, r.ReadU64());
+      SPACETWIST_ASSIGN_OR_RETURN(OpenOk msg, DecodeOpenOkPayload(&r));
       SPACETWIST_RETURN_NOT_OK(r.ExpectDrained());
-      return Response(msg);
+      return Response(std::move(msg));
     }
     case MessageType::kPacket: {
       SPACETWIST_ASSIGN_OR_RETURN(PacketReply msg, DecodePacketPayload(&r));

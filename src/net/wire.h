@@ -44,18 +44,22 @@ namespace spacetwist::net {
 ///
 /// Wire v3 adds distributed-trace plumbing: OpenRequest and PullRequest
 /// carry a trace context (64-bit trace id + sampled flag), and
-/// PacketReply/CloseOk piggyback the completed server-side span list of the
-/// work they answer (empty unless the request was sampled), so the client
-/// can merge both tiers into one trace tree. ErrorReply stays span-free;
-/// spans produced by a failed request are held server-side and ride on the
-/// next successful reply of the session.
+/// OpenOk/PacketReply/CloseOk piggyback the completed server-side span list
+/// of the work they answer (empty unless the request was sampled), so the
+/// client can merge both tiers into one trace tree. ErrorReply stays
+/// span-free; spans produced by a failed pull are held server-side and ride
+/// on the next successful reply of the session.
+///
+/// Wire v4 makes Open one round trip: OpenOk carries the stream's packet 0
+/// (Algorithm 1 always takes it, since its γ starts at ∞), so the first
+/// PullRequest of a query asks for seq 1.
 
 /// Frame type tags. Requests are 1-15, responses 16-31.
 enum class MessageType : uint8_t {
   kOpenRequest = 1,   ///< open a granular INN session
   kPullRequest = 2,   ///< pull the session's next packet
   kCloseRequest = 3,  ///< close a session
-  kOpenOk = 16,       ///< session id of a freshly opened session
+  kOpenOk = 16,       ///< session id + packet 0 of an opened session
   kPacket = 17,       ///< one downlink packet of data points
   kCloseOk = 18,      ///< session closed
   kError = 19,        ///< Status code + message
@@ -63,8 +67,11 @@ enum class MessageType : uint8_t {
 
 /// Everything the server ever learns about a query (anchor, not the true
 /// location). Doubles so client-generated anchors round-trip exactly. The
-/// nonce is chosen by the client per Open attempt and echoed in OpenOk, so
-/// a retrying client never adopts a stale OpenOk from an earlier query.
+/// nonce names one logical Open: the client draws it once, resends the
+/// same request on every retry, and the server echoes it in OpenOk, so a
+/// retrying client never adopts a stale OpenOk from an earlier query. A
+/// repeat of a live session's Open gets that session's OpenOk again
+/// (docs/SERVICE.md §2), so a lost reply never strands a session.
 struct OpenRequest {
   geom::Point anchor;
   double epsilon = 0.0;
@@ -112,12 +119,21 @@ struct CloseRequest {
 
 using Request = std::variant<OpenRequest, PullRequest, CloseRequest>;
 
+/// Answer to an Open (v4): the session id, the nonce echo, and the
+/// stream's packet 0 in PacketReply's point encoding. Zero points means
+/// the stream was dry at open.
 struct OpenOk {
   uint64_t session_id = 0;
   uint64_t nonce = 0;  ///< echo of OpenRequest::nonce
+  Packet packet;       ///< packet 0 of the session's stream
+  /// Completed server-side spans of a sampled Open: the dispatch, the
+  /// session open and the first scan.
+  std::vector<telemetry::SpanRecord> server_spans;
 
   friend bool operator==(const OpenOk& a, const OpenOk& b) {
-    return a.session_id == b.session_id && a.nonce == b.nonce;
+    return a.session_id == b.session_id && a.nonce == b.nonce &&
+           a.packet.points == b.packet.points &&
+           a.server_spans == b.server_spans;
   }
 };
 
@@ -177,7 +193,7 @@ inline constexpr size_t kMaxWirePayloadBytes = 1 << 20;
 inline constexpr size_t kMaxWirePointsPerFrame = 65535;
 inline constexpr size_t kMaxWireErrorMessageBytes = 4096;
 
-/// Bytes per encoded data point in a kPacket payload.
+/// Bytes per encoded data point in a kPacket or kOpenOk payload.
 inline constexpr size_t kWirePointBytes = 12;
 
 /// Span-piggyback bounds (v3). Encoders clamp to these, so any in-process

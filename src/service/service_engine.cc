@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <utility>
 #include <variant>
 
@@ -26,6 +28,24 @@ void AppendSpans(std::vector<telemetry::SpanRecord>* dst,
     if (dst->size() >= cap) break;
     dst->push_back(span);
   }
+}
+
+/// kInvalidArgument for k < 1, a negative epsilon, or an anchor coordinate
+/// or epsilon that is NaN or beyond float32's range.
+Status ValidateOpen(const geom::Point& anchor, double epsilon, size_t k) {
+  if (k < 1) return Status::InvalidArgument("k must be >= 1");
+  // Written so NaN fails too. Past FLT_MAX the kernel's float32 cell
+  // boundaries overflow, and its scan never ends.
+  const auto in_float_range = [](double v) {
+    return std::fabs(v) <= std::numeric_limits<float>::max();
+  };
+  if (!in_float_range(anchor.x) || !in_float_range(anchor.y)) {
+    return Status::InvalidArgument("anchor must be finite float32");
+  }
+  if (!in_float_range(epsilon) || epsilon < 0.0) {
+    return Status::InvalidArgument("epsilon must be finite float32 and >= 0");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -70,35 +90,22 @@ ServiceEngine::ServiceEngine(server::InnBackend* backend,
 }
 
 ServiceEngine::~ServiceEngine() {
-  // Absorb whatever is still live so final metrics() reads (taken after the
+  // Retire whatever is still live so final metrics() reads (taken after the
   // engine quiesces but before destruction) and the abandoned-session
   // accounting contract both hold for users who snapshot via EvictIdle.
   for (Shard& shard : shards_) {
     MutexLock lock(&shard.mu);
-    for (auto& [id, session] : shard.sessions) Absorb(session);
-    shard.sessions.clear();
+    for (auto it = shard.sessions.begin(); it != shard.sessions.end();) {
+      it = RetireLocked(&shard, it);
+    }
   }
 }
 
-Result<uint64_t> ServiceEngine::Open(const geom::Point& anchor, double epsilon,
-                                     size_t k) {
-  counters_.open_requests.fetch_add(1, kRelaxed);
-  instruments_.open_requests->Add();
-  if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  // Written so NaN fails too. Past FLT_MAX the kernel's float32 cell
-  // boundaries overflow, and its scan never ends.
-  const auto in_float_range = [](double v) {
-    return std::fabs(v) <= std::numeric_limits<float>::max();
-  };
-  if (!in_float_range(anchor.x) || !in_float_range(anchor.y)) {
-    return Status::InvalidArgument("anchor must be finite float32");
-  }
-  if (!in_float_range(epsilon) || epsilon < 0.0) {
-    return Status::InvalidArgument("epsilon must be finite float32 and >= 0");
-  }
+uint64_t ServiceEngine::NewId(size_t stripe) {
+  return next_id_.fetch_add(1, kRelaxed) * shards_.size() + stripe;
+}
 
-  const uint64_t now = NowNs();
-
+Status ServiceEngine::ClaimSlot() {
   // Claim a slot optimistically; on overload try to reclaim idle sessions
   // once before telling the client to back off.
   const auto try_claim = [this] {
@@ -114,28 +121,146 @@ Result<uint64_t> ServiceEngine::Open(const geom::Point& anchor, double epsilon,
     return Status::ResourceExhausted(
         StrFormat("session limit (%zu) reached", options_.max_sessions));
   }
+  return Status::OK();
+}
 
+ServiceEngine::Session ServiceEngine::NewSession(const geom::Point& anchor,
+                                                 double epsilon, size_t k) {
   Session session;
   session.stream =
       backend_->OpenInnSource(anchor, epsilon, k, options_.granular);
   session.channel = std::make_unique<net::PacketChannel>(session.stream.get(),
                                                          options_.packet);
-  session.last_touch_ns = now;
+  return session;
+}
 
-  const uint64_t id = next_id_.fetch_add(1, kRelaxed);
-  Shard& shard = ShardFor(id);
-  {
-    MutexLock lock(&shard.mu);
-    // Piggyback idle reclamation on the write path so a pull-only workload
-    // elsewhere cannot pin this shard's abandoned sessions forever.
-    SweepShardLocked(&shard, now);
-    shard.sessions.emplace(id, std::move(session));
-    instruments_.shard_sessions->Record(shard.sessions.size());
-  }
+void ServiceEngine::PublishLocked(Shard* shard, uint64_t id, Session session) {
+  const uint64_t now = NowNs();
+  // Piggyback idle reclamation on the write path so a pull-only workload
+  // elsewhere cannot pin this shard's abandoned sessions forever.
+  SweepShardLocked(shard, now);
+  session.last_touch_ns = now;
+  if (!session.open_key.empty()) shard->opens.emplace(session.open_key, id);
+  shard->sessions.emplace(id, std::move(session));
+  instruments_.shard_sessions->Record(shard->sessions.size());
   counters_.sessions_opened.fetch_add(1, kRelaxed);
   instruments_.sessions_opened->Add();
   instruments_.open_sessions->Add(1);
+}
+
+Result<uint64_t> ServiceEngine::Open(const geom::Point& anchor, double epsilon,
+                                     size_t k) {
+  counters_.open_requests.fetch_add(1, kRelaxed);
+  instruments_.open_requests->Add();
+  SPACETWIST_RETURN_NOT_OK(ValidateOpen(anchor, epsilon, k));
+  SPACETWIST_RETURN_NOT_OK(ClaimSlot());
+  Session session = NewSession(anchor, epsilon, k);
+  // A typed session has no Open key, so any stripe will do: spread them.
+  const uint64_t id = NewId(next_id_.load(kRelaxed) % shards_.size());
+  Shard& shard = ShardFor(id);
+  MutexLock lock(&shard.mu);
+  PublishLocked(&shard, id, std::move(session));
   return id;
+}
+
+std::vector<uint8_t> ServiceEngine::HandleOpen(const net::OpenRequest& open) {
+  counters_.open_requests.fetch_add(1, kRelaxed);
+  instruments_.open_requests->Add();
+  const Status valid = ValidateOpen(open.anchor, open.epsilon, open.k);
+  if (!valid.ok()) return EncodeErrorFrame(valid);
+  const std::vector<uint8_t> frame = net::EncodeRequest(open);
+  std::string key(frame.begin(), frame.end());
+  const size_t stripe = std::hash<std::string>{}(key) % shards_.size();
+  Shard& shard = shards_[stripe];
+  {
+    MutexLock lock(&shard.mu);
+    const auto it = shard.opens.find(key);
+    if (it != shard.opens.end()) {
+      return RepeatOpenLocked(&shard, it->second, open);
+    }
+  }
+
+  // A new session. Nothing else can see it until it is published, so its
+  // first pull runs outside any stripe lock.
+  std::optional<telemetry::Trace> trace;
+  if (open.sampled) {
+    trace.emplace(clock_);
+    trace->set_trace_id(open.trace_id);
+  }
+  telemetry::Trace* traced = trace ? &*trace : nullptr;
+  Session session;
+  Result<net::Packet> first = [&]() -> Result<net::Packet> {
+    telemetry::Trace::Span dispatch =
+        telemetry::Trace::SpanOn(traced, "server.dispatch");
+    telemetry::Trace::Span open_span =
+        telemetry::Trace::SpanOn(traced, "server.open");
+    SPACETWIST_RETURN_NOT_OK(ClaimSlot());
+    session = NewSession(open.anchor, open.epsilon, open.k);
+    Result<net::Packet> packet = Advance(&session, traced);
+    if (packet.ok()) return packet;
+    if (!packet.status().IsExhausted()) {
+      open_count_.fetch_sub(1, kRelaxed);  // no session is kept
+      return packet.status();
+    }
+    // Dry at open: packet 0 is empty, and is replayed like any other.
+    session.has_cached = true;
+    session.next_seq = 1;
+    return net::Packet{};
+  }();
+  if (!first.ok()) return EncodeErrorFrame(first.status());
+  session.open_key = std::move(key);
+  if (traced != nullptr) {
+    session.trace_id = open.trace_id;
+    session.sampled = true;
+    AppendSpans(&session.sink_spans, traced->records(),
+                kMaxSinkSpansPerSession);
+  }
+  uint64_t id = 0;
+  {
+    MutexLock lock(&shard.mu);
+    const auto it = shard.opens.find(session.open_key);
+    if (it != shard.opens.end()) {
+      // An identical Open won the race: answer with its session. Ours
+      // frees its slot here and its stream on return; the bytes are the
+      // same, as the stream is deterministic.
+      open_count_.fetch_sub(1, kRelaxed);
+      return RepeatOpenLocked(&shard, it->second, open);
+    }
+    id = NewId(stripe);
+    PublishLocked(&shard, id, std::move(session));
+  }
+  net::OpenOk reply{id, open.nonce, first.MoveValueOrDie(), {}};
+  if (traced != nullptr) {
+    AppendSpans(&reply.server_spans, traced->records(),
+                net::kMaxWireSpansPerFrame);
+  }
+  return net::EncodeResponse(reply);
+}
+
+std::vector<uint8_t> ServiceEngine::RepeatOpenLocked(
+    Shard* shard, uint64_t id, const net::OpenRequest& open) {
+  Session& session = shard->sessions.at(id);
+  if (session.next_seq != 1) {
+    return EncodeErrorFrame(
+        Status::OutOfRange(StrFormat(
+            "stale duplicate Open: session %llu is past packet 0",
+            static_cast<unsigned long long>(id))),
+        id);
+  }
+  session.last_touch_ns = NowNs();
+  net::OpenOk reply{id, open.nonce, session.cached, {}};
+  if (open.sampled) {
+    telemetry::Trace trace(clock_);
+    trace.set_trace_id(open.trace_id);
+    {
+      telemetry::Trace::Span dispatch = trace.StartSpan("server.dispatch");
+      telemetry::Trace::Span open_span = trace.StartSpan("server.open");
+      trace.Event("server.replay", 0);
+    }
+    AppendSpans(&session.sink_spans, trace.records(), kMaxSinkSpansPerSession);
+    reply.server_spans = trace.records();
+  }
+  return net::EncodeResponse(reply);
 }
 
 Result<net::Packet> ServiceEngine::Pull(uint64_t session_id) {
@@ -185,8 +310,14 @@ Result<net::Packet> ServiceEngine::PullLocked(Shard* /*shard*/, Session* session
   }
   // The stream traversal runs under the shard lock; different shards
   // proceed in parallel and share the tree through its synchronized
-  // buffer pool. kExhausted is not cached: PacketChannel keeps reporting
-  // it, so retried end-of-stream pulls are naturally idempotent.
+  // buffer pool.
+  return Advance(session, trace);
+}
+
+Result<net::Packet> ServiceEngine::Advance(Session* session,
+                                           telemetry::Trace* trace) {
+  // kExhausted is not cached: PacketChannel keeps reporting it, so retried
+  // end-of-stream pulls are naturally idempotent.
   if (trace == nullptr) {
     SPACETWIST_ASSIGN_OR_RETURN(net::Packet packet,
                                 session->channel->NextPacket());
@@ -290,8 +421,7 @@ Status ServiceEngine::CloseInternal(
       session.pending_spans.clear();
       AppendSpans(spans_out, trace.records(), net::kMaxWireSpansPerFrame);
     }
-    Absorb(session);
-    shard.sessions.erase(it);
+    RetireLocked(&shard, it);
   }
   open_count_.fetch_sub(1, kRelaxed);
   counters_.sessions_closed.fetch_add(1, kRelaxed);
@@ -325,23 +455,7 @@ std::vector<uint8_t> ServiceEngine::HandleFrame(
 
 std::vector<uint8_t> ServiceEngine::HandleDecoded(const net::Request& request) {
   if (const auto* open = std::get_if<net::OpenRequest>(&request)) {
-    if (!open->sampled) {
-      Result<uint64_t> id = Open(open->anchor, open->epsilon, open->k);
-      if (!id.ok()) return EncodeErrorFrame(id.status());
-      return net::EncodeResponse(net::OpenOk{*id, open->nonce});
-    }
-    // Sampled open: trace the dispatch, then park the spans on the session
-    // (OpenOk has no span field; they ride the next successful reply).
-    telemetry::Trace trace(clock_);
-    trace.set_trace_id(open->trace_id);
-    telemetry::Trace::Span dispatch = trace.StartSpan("server.dispatch");
-    telemetry::Trace::Span open_span = trace.StartSpan("server.open");
-    Result<uint64_t> id = Open(open->anchor, open->epsilon, open->k);
-    open_span.End();
-    dispatch.End();
-    if (!id.ok()) return EncodeErrorFrame(id.status());
-    AttachTrace(*id, open->trace_id, trace.records());
-    return net::EncodeResponse(net::OpenOk{*id, open->nonce});
+    return HandleOpen(*open);
   }
   if (const auto* pull = std::get_if<net::PullRequest>(&request)) {
     std::vector<telemetry::SpanRecord> spans;
@@ -361,20 +475,6 @@ std::vector<uint8_t> ServiceEngine::HandleDecoded(const net::Request& request) {
   Status status = CloseInternal(close.session_id, &spans);
   if (!status.ok()) return EncodeErrorFrame(status, close.session_id);
   return net::EncodeResponse(net::CloseOk{close.session_id, std::move(spans)});
-}
-
-void ServiceEngine::AttachTrace(
-    uint64_t session_id, uint64_t trace_id,
-    const std::vector<telemetry::SpanRecord>& spans) {
-  Shard& shard = ShardFor(session_id);
-  MutexLock lock(&shard.mu);
-  auto it = shard.sessions.find(session_id);
-  if (it == shard.sessions.end()) return;  // evicted before we got back
-  Session& session = it->second;
-  session.trace_id = trace_id;
-  session.sampled = true;
-  AppendSpans(&session.pending_spans, spans, net::kMaxWireSpansPerFrame);
-  AppendSpans(&session.sink_spans, spans, kMaxSinkSpansPerSession);
 }
 
 size_t ServiceEngine::EvictIdle() {
@@ -407,7 +507,10 @@ EngineMetrics ServiceEngine::metrics() const {
   return m;
 }
 
-void ServiceEngine::Absorb(Session& session) {
+std::unordered_map<uint64_t, ServiceEngine::Session>::iterator
+ServiceEngine::RetireLocked(
+    Shard* shard, std::unordered_map<uint64_t, Session>::iterator it) {
+  Session& session = it->second;
   if (options_.trace_sink != nullptr && session.sampled &&
       !session.sink_spans.empty()) {
     options_.trace_sink->Offer(telemetry::TraceRecord{
@@ -425,6 +528,8 @@ void ServiceEngine::Absorb(Session& session) {
   instruments_.uplink_packets->Add(stats.uplink_packets);
   instruments_.downlink_bytes->Add(stats.downlink_bytes);
   instruments_.uplink_bytes->Add(stats.uplink_bytes);
+  if (!session.open_key.empty()) shard->opens.erase(session.open_key);
+  return shard->sessions.erase(it);
 }
 
 size_t ServiceEngine::SweepShardLocked(Shard* shard, uint64_t now_ns) {
@@ -433,8 +538,7 @@ size_t ServiceEngine::SweepShardLocked(Shard* shard, uint64_t now_ns) {
   for (auto it = shard->sessions.begin(); it != shard->sessions.end();) {
     const uint64_t idle = now_ns - it->second.last_touch_ns;
     if (now_ns > it->second.last_touch_ns && idle > options_.idle_ttl_ns) {
-      Absorb(it->second);
-      it = shard->sessions.erase(it);
+      it = RetireLocked(shard, it);
       ++evicted;
     } else {
       ++it;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -59,12 +60,12 @@ struct ServiceOptions {
 /// evicted, and abandoned-then-swept sessions; live sessions contribute
 /// once they retire (query SessionStats for in-flight numbers).
 struct EngineMetrics {
-  uint64_t open_requests = 0;
-  uint64_t pull_requests = 0;
+  uint64_t open_requests = 0;   ///< Opens received, repeats included
+  uint64_t pull_requests = 0;   ///< Pulls only: an Open's packet 0 is not one
   uint64_t pulls_replayed = 0;  ///< idempotent retries served from cache
   uint64_t close_requests = 0;
   uint64_t decode_errors = 0;
-  uint64_t sessions_opened = 0;
+  uint64_t sessions_opened = 0;  ///< sessions created
   uint64_t sessions_closed = 0;
   uint64_t sessions_evicted = 0;
   uint64_t sessions_rejected = 0;
@@ -86,6 +87,13 @@ struct EngineMetrics {
 ///  * The wire entry point HandleFrame() decodes a request frame, dispatches
 ///    to the typed API, and encodes the response frame — the engine is a
 ///    net::FrameHandler, i.e. a drop-in in-process "server socket".
+///  * A wire Open is one round trip and idempotent per query: its OpenOk
+///    carries packet 0, and a byte-identical repeat of a live session's
+///    OpenRequest (a retry after a lost reply, a duplicated frame) gets
+///    that session's OpenOk again instead of a second session. The repeat
+///    index lives in the stripe the request hashes to, and the session id
+///    encodes that stripe, so the final lookup and the publish share one
+///    critical section of that stripe's lock.
 ///
 /// Requires the backend's R-tree(s) to be built with
 /// RTreeOptions::concurrent_reads so concurrent traversals are safe.
@@ -104,11 +112,13 @@ class ServiceEngine : public net::FrameHandler {
   ServiceEngine(const ServiceEngine&) = delete;
   ServiceEngine& operator=(const ServiceEngine&) = delete;
 
-  /// Opens a granular INN session (epsilon == 0 gives exact INN).
-  /// kInvalidArgument for k < 1, a negative epsilon, or an anchor
-  /// coordinate or epsilon that is NaN or beyond float32's range (every
-  /// coordinate here is float32). kResourceExhausted once `max_sessions`
-  /// sessions are live and none is evictable.
+  /// Opens a granular INN session (epsilon == 0 gives exact INN), whose
+  /// first Pull serves packet 0 (a wire Open serves it on the OpenOk
+  /// instead, see HandleFrame). kInvalidArgument for k < 1, a negative
+  /// epsilon, or an anchor coordinate or epsilon that is NaN or beyond
+  /// float32's range (every coordinate here is float32).
+  /// kResourceExhausted once `max_sessions` sessions are live and none is
+  /// evictable.
   Result<uint64_t> Open(const geom::Point& anchor, double epsilon, size_t k);
 
   /// Pulls the session's next packet; kExhausted when the stream is dry,
@@ -132,7 +142,11 @@ class ServiceEngine : public net::FrameHandler {
 
   /// Wire-level entry point: one request frame in, one response frame out.
   /// Malformed frames yield an encoded kError response (never a crash).
-  /// Safe to call from many threads.
+  /// An OpenRequest opens a session and answers with its packet 0, unless
+  /// it repeats the Open of a live session: then it gets that session's
+  /// OpenOk again while the session has served only packet 0, and a
+  /// kOutOfRange ErrorReply echoing the session id once it is past (a
+  /// stale duplicate). Safe to call from many threads.
   std::vector<uint8_t> HandleFrame(
       const std::vector<uint8_t>& request_frame) override;
 
@@ -170,6 +184,9 @@ class ServiceEngine : public net::FrameHandler {
     bool sampled = false;
     std::vector<telemetry::SpanRecord> pending_spans;
     std::vector<telemetry::SpanRecord> sink_spans;
+    /// Key of the wire Open that created the session, indexed in its
+    /// stripe's `opens`; empty for sessions of the typed Open.
+    std::string open_key;
   };
 
   struct Shard {
@@ -180,6 +197,10 @@ class ServiceEngine : public net::FrameHandler {
         ACQUIRED_BEFORE(lock_order::kRouterFanout){
             LockRank::kEngineFront, "service.engine.front_stripe"};
     std::unordered_map<uint64_t, Session> sessions GUARDED_BY(mu);
+    /// Repeat index: the key of each live wire-opened session in this
+    /// stripe — its OpenRequest's canonical frame, so keys match exactly
+    /// when the requests are byte-identical on the wire — to its id.
+    std::unordered_map<std::string, uint64_t> opens GUARDED_BY(mu);
   };
 
   Shard& ShardFor(uint64_t session_id) {
@@ -191,6 +212,33 @@ class ServiceEngine : public net::FrameHandler {
 
   uint64_t NowNs() const { return clock_->NowNs(); }
 
+  /// A fresh session id in stripe `stripe`: ids are n * stripes + stripe,
+  /// so ShardFor(id) finds the stripe the id was minted for.
+  uint64_t NewId(size_t stripe);
+
+  /// Claims one of the `max_sessions` slots, evicting idle sessions once
+  /// before giving up with kResourceExhausted.
+  Status ClaimSlot();
+
+  /// A session streaming the granular INN of (anchor, epsilon, k); the
+  /// caller has validated the parameters and claimed its slot.
+  Session NewSession(const geom::Point& anchor, double epsilon, size_t k);
+
+  /// Sweeps the stripe, then files `session` under `id` (and its Open key
+  /// in the repeat index) and counts it as opened.
+  void PublishLocked(Shard* shard, uint64_t id, Session session)
+      REQUIRES(shard->mu);
+
+  /// Body of HandleDecoded for an OpenRequest (see HandleFrame).
+  std::vector<uint8_t> HandleOpen(const net::OpenRequest& open);
+
+  /// The repeat rule for `open`, whose key names the live session `id` of
+  /// `shard`: that session's OpenOk again, with packet 0 from the replay
+  /// cache, or the stale-duplicate ErrorReply once it is past packet 0.
+  std::vector<uint8_t> RepeatOpenLocked(Shard* shard, uint64_t id,
+                                        const net::OpenRequest& open)
+      REQUIRES(shard->mu);
+
   /// Shared body of the Pull overloads; caller holds the owning shard's
   /// mutex (`shard` names it for the static analysis). With a non-null
   /// `trace`, the stream advance is recorded as a "server.granular.scan"
@@ -198,6 +246,12 @@ class ServiceEngine : public net::FrameHandler {
   /// events.
   Result<net::Packet> PullLocked(Shard* shard, Session* session, uint64_t seq,
                                  telemetry::Trace* trace) REQUIRES(shard->mu);
+
+  /// Serves the session's next packet from its stream and caches it for
+  /// replays, tracing the scan on a non-null `trace`. The caller owns the
+  /// session: it holds the session's stripe lock, or the session is not
+  /// published yet.
+  Result<net::Packet> Advance(Session* session, telemetry::Trace* trace);
 
   /// Traced variant of Pull(id, seq) for sampled wire requests: runs the
   /// pull under a server-side trace and moves the session's shippable spans
@@ -211,17 +265,13 @@ class ServiceEngine : public net::FrameHandler {
   Status CloseInternal(uint64_t session_id,
                        std::vector<telemetry::SpanRecord>* spans_out);
 
-  /// Marks `session_id` as sampled under `trace_id` and queues `spans`
-  /// (the open-path spans, which have no reply field to ride on) for the
-  /// session's next successful reply. No-op if the session is gone.
-  void AttachTrace(uint64_t session_id, uint64_t trace_id,
-                   const std::vector<telemetry::SpanRecord>& spans);
-
-  /// Folds a retiring session's transport counters into the totals and
-  /// offers a sampled session's span list to the trace sink. Caller holds
-  /// the owning shard's mutex (the totals themselves are atomics; the lock
-  /// protects the session being consumed).
-  void Absorb(Session& session);
+  /// Retires a session (close or eviction): folds its transport counters
+  /// into the totals, offers a sampled session's span list to the trace
+  /// sink, and drops it from the stripe and its repeat index. Returns the
+  /// iterator past it.
+  std::unordered_map<uint64_t, Session>::iterator RetireLocked(
+      Shard* shard, std::unordered_map<uint64_t, Session>::iterator it)
+      REQUIRES(shard->mu);
 
   /// Evicts expired sessions of one shard; caller holds `shard->mu`.
   size_t SweepShardLocked(Shard* shard, uint64_t now_ns) REQUIRES(shard->mu);

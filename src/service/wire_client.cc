@@ -121,37 +121,38 @@ void WireSession::CloseStranded(uint64_t session_id) {
 Status WireSession::OpenSession(Budget* budget) {
   telemetry::Trace::Span span =
       telemetry::Trace::SpanOn(retry_.trace, "wire.open");
-  // Every attempt gets a fresh nonce; any of them identifies *this* open
-  // (an earlier attempt's reply may arrive late and is equally valid).
-  std::vector<uint64_t> nonces;
-  const auto is_current = [&nonces](const net::Response& response) {
+  // One nonce names this logical Open, and every retry resends the same
+  // request: the server answers a repeat with the session it already
+  // opened, so any attempt's reply is this Open's.
+  net::OpenRequest open;
+  open.anchor = anchor_;
+  open.epsilon = epsilon_;
+  open.k = static_cast<uint32_t>(k_);
+  open.nonce = rng_.Next();
+  open.trace_id = trace_id_;
+  open.sampled = sampled_;
+  const auto is_current = [&open](const net::Response& response) {
     if (const auto* ok = std::get_if<net::OpenOk>(&response)) {
-      return std::find(nonces.begin(), nonces.end(), ok->nonce) !=
-             nonces.end();
+      return ok->nonce == open.nonce;
     }
     // Open errors carry no session id; an error echoing one is a stale
-    // reply to some earlier pull or close.
+    // reply to some earlier request.
     if (const auto* error = std::get_if<net::ErrorReply>(&response)) {
       return error->session_id == 0;
     }
     return false;  // PacketReply/CloseOk
   };
   while (Tick(budget)) {
-    net::OpenRequest open;
-    open.anchor = anchor_;
-    open.epsilon = epsilon_;
-    open.k = static_cast<uint32_t>(k_);
-    open.nonce = rng_.Next();
-    open.trace_id = trace_id_;
-    open.sampled = sampled_;
-    nonces.push_back(open.nonce);
     Result<net::Response> response = Exchange(open, budget, is_current);
     if (!response.ok()) {
       if (TransportRetryable(response.status())) continue;
       return response.status();
     }
-    if (const auto* ok = std::get_if<net::OpenOk>(&*response)) {
+    if (auto* ok = std::get_if<net::OpenOk>(&*response)) {
       session_id_ = ok->session_id;
+      open_packet_ = std::move(ok->packet);
+      // The server's open and first-scan spans nest under wire.open.
+      if (retry_.trace != nullptr) retry_.trace->Adopt(ok->server_spans);
       span.Note("attempts", budget->attempts);
       return Status::OK();
     }
@@ -194,6 +195,14 @@ Result<std::unique_ptr<WireSession>> WireSession::Open(
 
 Result<net::Packet> WireSession::NextPacket() {
   if (closed_) return Status::Internal("session already closed");
+  if (next_seq_ == 0) {
+    // Packet 0 rode the OpenOk: no round trip.
+    if (open_packet_.points.empty()) {
+      return Status::Exhausted("stream dry at open");
+    }
+    ++next_seq_;
+    return std::move(open_packet_);
+  }
   telemetry::Trace::Span span =
       telemetry::Trace::SpanOn(retry_.trace, "wire.pull");
   span.Note("seq", next_seq_);
@@ -201,7 +210,7 @@ Result<net::Packet> WireSession::NextPacket() {
   size_t reopens = 0;
   // `cursor` is the sequence number we need from the *current* server
   // session. Normally cursor == next_seq_; after a re-open it restarts at
-  // 0 and the replayed prefix (byte-identical, the stream is
+  // 1 and the replayed prefix (byte-identical, the stream is
   // deterministic) is discarded until the query's position is reached.
   uint64_t cursor = next_seq_;
   // Re-opens and accepted packets are progress and refill the attempt
@@ -217,9 +226,14 @@ Result<net::Packet> WireSession::NextPacket() {
     ++stats_.reopens;
     reopens_metric_->Add();
     telemetry::Trace::EventOn(retry_.trace, "wire.reopen");
-    cursor = 0;
     budget.attempts = 0;
     if (disconnected) CloseStranded(stranded);
+    // The new OpenOk's packet 0 is the first replayed packet, already
+    // consumed; a deterministic stream cannot be dry there.
+    if (std::exchange(open_packet_, {}).points.empty()) {
+      return Status::Internal("server stream diverged during resume");
+    }
+    cursor = 1;
     return Status::OK();
   };
   const auto is_current = [this, &cursor](const net::Response& response) {

@@ -58,8 +58,8 @@ struct RetryConfig {
   /// With a trace attached the session also propagates a distributed-trace
   /// context over the wire (wire v3 `sampled` flag): the server records its
   /// own spans and piggybacks them on replies, and the session merges them
-  /// into `trace` (nested under the wire.pull/wire.close span that carried
-  /// them) — one trace tree spanning both tiers.
+  /// into `trace` (nested under the wire.open/wire.pull/wire.close span
+  /// that carried them) — one trace tree spanning both tiers.
   telemetry::Trace* trace = nullptr;
   /// 64-bit id identifying the query's trace across tiers; used only with
   /// `trace` attached. 0 (the default) derives one deterministically from
@@ -105,12 +105,19 @@ struct RetryStats {
 ///  * NextPacket pulls by explicit sequence number; a retry after a lost
 ///    reply replays the same packet from the server's cache, so no data is
 ///    skipped and no packet is double-counted.
+///  * Open is one round trip: the OpenOk carries packet 0, which the first
+///    NextPacket returns without touching the link. Every retry of one
+///    Open resends the same request (one nonce per logical Open), and the
+///    server answers a repeat with the session it already opened, so a
+///    lost or duplicated OpenOk never strands a server session.
 ///  * A disconnect (kIoError) or server-side eviction (kNotFound) triggers
-///    a clean re-open: a fresh session for the same anchor is opened and
-///    fast-forwarded to the current sequence number (the granular stream
-///    is deterministic, so the replayed prefix is byte-identical and is
-///    discarded). The query then resumes exactly where it stopped. After a
-///    disconnect the abandoned server session is closed, best effort.
+///    a clean re-open: a fresh session for the same anchor is opened
+///    (with a new nonce) and fast-forwarded to the current sequence number
+///    — its OpenOk's packet 0 is the first replayed packet, and pulls
+///    resume at seq 1 (the granular stream is deterministic, so the
+///    replayed prefix is byte-identical and is discarded). The query then
+///    resumes exactly where it stopped. After a disconnect the abandoned
+///    server session is closed, best effort.
 ///  * When the retry budget runs out the operation fails with
 ///    kDeadlineExceeded; genuine server rejections (kInvalidArgument,
 ///    kResourceExhausted) and end-of-stream (kExhausted) pass through.
@@ -182,8 +189,9 @@ class WireSession : public net::PacketTransport {
   /// a late reply is drained as stale by a later exchange.
   void CloseStranded(uint64_t session_id);
 
-  /// (Re-)opens a server session for the anchor, drawing on `budget`.
-  /// Sets session_id_ on success.
+  /// (Re-)opens a server session for the anchor, drawing on `budget`:
+  /// one nonce per call, resent unchanged on every retry. Sets session_id_
+  /// and open_packet_ on success.
   Status OpenSession(Budget* budget);
 
   /// Counts one stale reply (local stats + registry mirror).
@@ -214,6 +222,7 @@ class WireSession : public net::PacketTransport {
 
   uint64_t session_id_ = 0;
   uint64_t next_seq_ = 0;  ///< packets consumed so far
+  net::Packet open_packet_;  ///< packet 0 from the last OpenOk
   bool closed_ = false;
   RetryStats stats_;
   uint64_t trace_id_ = 0;

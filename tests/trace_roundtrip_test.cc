@@ -46,6 +46,23 @@ bool HasSpan(const std::vector<SpanRecord>& spans, std::string_view name) {
   return false;
 }
 
+/// Name of the client span enclosing the first span called `name`: the
+/// nearest earlier non-server span at a lower depth ("" if none).
+std::string ClientParentOf(const std::vector<SpanRecord>& spans,
+                           std::string_view name) {
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].name != name) continue;
+    for (size_t j = i; j-- > 0;) {
+      if (spans[j].depth < spans[i].depth &&
+          spans[j].name.rfind("server.", 0) != 0) {
+        return spans[j].name;
+      }
+    }
+    return "";
+  }
+  return "";
+}
+
 // ---------------------------------------------------------------------------
 // TraceSink: deterministic every-Nth sampling under a hard capacity.
 
@@ -388,12 +405,23 @@ TEST(TradeoffTest, EveryQueryGetsARecordAndExportsDeterministically) {
     }
   }
   // Every sampled query produced a merged trace with both tiers present.
+  // Packet 0 rides the OpenOk, so the first scan nests under wire.open,
+  // and a query that took one packet sends no pull at all.
   ASSERT_EQ(report.traces.size(), 6u);
+  size_t one_packet = 0;
   for (const TraceRecord& trace : report.traces) {
     EXPECT_NE(trace.trace_id, 0u);
-    EXPECT_TRUE(HasSpan(trace.spans, "wire.pull"));
-    EXPECT_TRUE(HasSpan(trace.spans, "server.granular.scan"));
+    const eval::TradeoffRecord* rec = nullptr;
+    for (const eval::TradeoffRecord& r : report.tradeoffs) {
+      if (r.trace_id == trace.trace_id) rec = &r;
+    }
+    ASSERT_NE(rec, nullptr);
+    EXPECT_EQ(ClientParentOf(trace.spans, "server.granular.scan"),
+              "wire.open");
+    EXPECT_EQ(HasSpan(trace.spans, "wire.pull"), rec->packets > 1);
+    if (rec->packets == 1) ++one_packet;
   }
+  EXPECT_GT(one_packet, 0u);
 
   // The export parses, and a fresh identically-seeded run (fresh server,
   // fresh VirtualClock) renders byte-identical output.

@@ -85,7 +85,10 @@ Request RandomRequest(Rng* rng) {
 Response RandomResponse(Rng* rng) {
   switch (rng->UniformInt(0, 3)) {
     case 0:
-      return OpenOk{rng->Next(), rng->Next()};
+      return OpenOk{
+          rng->Next(), rng->Next(),
+          RandomPacket(rng, static_cast<size_t>(rng->UniformInt(0, 200))),
+          RandomSpans(rng)};
     case 1:
       return PacketReply{
           rng->Next(), rng->Next(),
@@ -104,6 +107,19 @@ Response RandomResponse(Rng* rng) {
       }
       return error;
     }
+  }
+}
+
+/// Caps the point block of an OpenOk or PacketReply at `max_points`, so
+/// per-byte sweeps stay fast.
+void CapPoints(Response* response, size_t max_points) {
+  Packet* packet = nullptr;
+  if (auto* ok = std::get_if<OpenOk>(response)) packet = &ok->packet;
+  if (auto* reply = std::get_if<PacketReply>(response)) {
+    packet = &reply->packet;
+  }
+  if (packet != nullptr && packet->points.size() > max_points) {
+    packet->points.resize(max_points);
   }
 }
 
@@ -154,10 +170,7 @@ TEST_P(WireCodecSweepTest, EveryTruncationFailsCleanly) {
     }
     // Cap packets at 40 points so the strict-prefix scan stays fast.
     Response response = RandomResponse(&rng);
-    if (auto* reply = std::get_if<PacketReply>(&response);
-        reply != nullptr && reply->packet.points.size() > 40) {
-      reply->packet.points.resize(40);
-    }
+    CapPoints(&response, 40);
     const std::vector<uint8_t> resp_frame = EncodeResponse(response);
     for (size_t len = 0; len < resp_frame.size(); ++len) {
       EXPECT_FALSE(DecodeResponse(resp_frame.data(), len).ok());
@@ -169,10 +182,7 @@ TEST_P(WireCodecSweepTest, SingleByteCorruptionAlwaysDetected) {
   Rng rng(GetParam() + 31);
   for (int trial = 0; trial < 10; ++trial) {
     Response response = RandomResponse(&rng);
-    if (auto* reply = std::get_if<PacketReply>(&response);
-        reply != nullptr && reply->packet.points.size() > 20) {
-      reply->packet.points.resize(20);
-    }
+    CapPoints(&response, 20);
     const std::vector<uint8_t> frame = EncodeResponse(response);
     for (size_t pos = 0; pos < frame.size(); ++pos) {
       std::vector<uint8_t> corrupt = frame;
@@ -216,7 +226,8 @@ TEST(WireCodecTest, TrailingGarbageIsCorruption) {
 
 TEST(WireCodecTest, RequestAndResponseTypesDoNotCrossDecode) {
   const std::vector<uint8_t> request_frame = EncodeRequest(PullRequest{7});
-  const std::vector<uint8_t> response_frame = EncodeResponse(OpenOk{7});
+  const std::vector<uint8_t> response_frame =
+      EncodeResponse(OpenOk{7, 0, {}, {}});
   EXPECT_TRUE(DecodeResponse(request_frame).status().IsInvalidArgument());
   EXPECT_TRUE(DecodeRequest(response_frame).status().IsInvalidArgument());
 }
@@ -288,12 +299,57 @@ TEST(WireCodecTest, EncodedPacketSizeMatchesSpec) {
   Rng rng(9);
   const Packet packet = RandomPacket(&rng, 67);
   const std::vector<uint8_t> frame =
-      EncodeResponse(PacketReply{7, 3, packet});
+      EncodeResponse(PacketReply{7, 3, packet, {}});
   // frame = 4 (length) + 1 (type) + 4 (checksum)
   //       + 8 (session id) + 8 (seq) + 2 (count) + 67 * 12 (points)
   //       + 2 (span count, zero spans).
   EXPECT_EQ(frame.size(),
             4u + 1u + 4u + 8u + 8u + 2u + 67u * kWirePointBytes + 2u);
+  // v4 OpenOk: session id + nonce, then the same point and span blocks.
+  EXPECT_EQ(EncodeResponse(OpenOk{7, 3, packet, {}}).size(), frame.size());
+}
+
+// v4 OpenOk carries packet 0: 0 points (a stream dry at open), 1, and a
+// full β = 67 packet, each with and without piggybacked spans.
+TEST(WireCodecTest, OpenOkCarriesPacketZero) {
+  Rng rng(23);
+  for (const size_t points : {0u, 1u, 67u}) {
+    for (const bool with_spans : {false, true}) {
+      OpenOk ok{rng.Next(), rng.Next(), RandomPacket(&rng, points), {}};
+      if (with_spans) {
+        while (ok.server_spans.empty()) ok.server_spans = RandomSpans(&rng);
+      }
+      auto decoded = DecodeResponse(EncodeResponse(ok));
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      const auto* reply = std::get_if<OpenOk>(&*decoded);
+      ASSERT_NE(reply, nullptr);
+      EXPECT_TRUE(*reply == ok) << points << " points, spans " << with_spans;
+    }
+  }
+}
+
+// The OpenOk point block is bounds-checked like PacketReply's: a count
+// at the u16 ceiling (kMaxWirePointsPerFrame, the largest a frame can
+// declare) or one more point than the block holds is kCorruption.
+TEST(WireCodecTest, OpenOkPointCountBeyondItsBlockIsCorruption) {
+  Rng rng(29);
+  const OpenOk ok{1, 2, RandomPacket(&rng, 67), {}};
+  const std::vector<uint8_t> frame = EncodeResponse(ok);
+  constexpr size_t kCountAt = 9 + 8 + 8;  // header, session id, nonce
+  for (const uint16_t count :
+       {static_cast<uint16_t>(kMaxWirePointsPerFrame), uint16_t{68}}) {
+    std::vector<uint8_t> lie = frame;
+    lie[kCountAt] = static_cast<uint8_t>(count);
+    lie[kCountAt + 1] = static_cast<uint8_t>(count >> 8);
+    ResealChecksum(&lie);
+    EXPECT_TRUE(DecodeResponse(lie).status().IsCorruption()) << count;
+  }
+  // A truncated point block: the frame ends inside point 67.
+  std::vector<uint8_t> cut(frame.begin(), frame.end() - 8);
+  cut[0] = static_cast<uint8_t>(cut.size() - 9);
+  cut[1] = static_cast<uint8_t>((cut.size() - 9) >> 8);
+  ResealChecksum(&cut);
+  EXPECT_TRUE(DecodeResponse(cut).status().IsCorruption());
 }
 
 TEST(WireCodecTest, OversizedSpanListIsClampedToValidFrame) {

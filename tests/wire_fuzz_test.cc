@@ -21,6 +21,36 @@ namespace {
 
 constexpr int kMutationsPerType = 100'000;
 
+/// Up to 67 float32-exact points (one β-sized packet).
+Packet RandomPacket(Rng* rng) {
+  Packet packet;
+  const size_t n = static_cast<size_t>(rng->UniformInt(0, 67));
+  for (size_t i = 0; i < n; ++i) {
+    packet.points.push_back(
+        {{static_cast<double>(static_cast<float>(rng->Uniform(0, 10000))),
+          static_cast<double>(static_cast<float>(rng->Uniform(0, 10000)))},
+         static_cast<uint32_t>(rng->Next())});
+  }
+  return packet;
+}
+
+/// A sampled Open's span block: dispatch, open, and the first scan.
+std::vector<telemetry::SpanRecord> OpenSpans(Rng* rng) {
+  std::vector<telemetry::SpanRecord> spans;
+  const char* const names[] = {"server.dispatch", "server.open",
+                               "server.granular.scan"};
+  for (int depth = 0; depth < 3; ++depth) {
+    telemetry::SpanRecord span;
+    span.name = names[depth];
+    span.start_ns = rng->Next() >> 1;
+    span.end_ns = span.start_ns + static_cast<uint64_t>(depth);
+    span.depth = depth;
+    span.notes.emplace_back("points", rng->Next());
+    spans.push_back(std::move(span));
+  }
+  return spans;
+}
+
 /// A seed frame of each request/response type, sized so mutations explore
 /// non-trivial payload structure.
 std::vector<uint8_t> SeedFrame(MessageType type, Rng* rng) {
@@ -37,21 +67,19 @@ std::vector<uint8_t> SeedFrame(MessageType type, Rng* rng) {
       return EncodeRequest(PullRequest{rng->Next(), rng->Next()});
     case MessageType::kCloseRequest:
       return EncodeRequest(CloseRequest{rng->Next()});
-    case MessageType::kOpenOk:
-      return EncodeResponse(OpenOk{rng->Next(), rng->Next()});
+    case MessageType::kOpenOk: {
+      // v4: packet 0 rides the OpenOk, with a sampled Open's spans half
+      // of the time.
+      OpenOk ok{rng->Next(), rng->Next(), RandomPacket(rng), {}};
+      if (rng->UniformInt(0, 1) == 1) ok.server_spans = OpenSpans(rng);
+      return EncodeResponse(ok);
+    }
     case MessageType::kPacket: {
-      Packet packet;
-      const size_t n = static_cast<size_t>(rng->UniformInt(0, 67));
-      for (size_t i = 0; i < n; ++i) {
-        packet.points.push_back(
-            {{static_cast<double>(static_cast<float>(rng->Uniform(0, 10000))),
-              static_cast<double>(static_cast<float>(rng->Uniform(0, 10000)))},
-             static_cast<uint32_t>(rng->Next())});
-      }
-      return EncodeResponse(PacketReply{rng->Next(), rng->Next(), packet});
+      const Packet packet = RandomPacket(rng);
+      return EncodeResponse(PacketReply{rng->Next(), rng->Next(), packet, {}});
     }
     case MessageType::kCloseOk:
-      return EncodeResponse(CloseOk{rng->Next()});
+      return EncodeResponse(CloseOk{rng->Next(), {}});
     case MessageType::kError: {
       ErrorReply error;
       error.code = static_cast<StatusCode>(rng->UniformInt(1, kMaxStatusCode));

@@ -8,7 +8,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/anchor.h"
+#include "core/spacetwist_client.h"
 #include "datasets/generator.h"
+#include "eval/load_generator.h"
+#include "net/faulty_transport.h"
 #include "net/wire.h"
 #include "server/lbs_server.h"
 #include "service/service_engine.h"
@@ -248,7 +252,7 @@ TEST_F(WireRetryTest, StaleOpenOkIsRejectedByNonce) {
          net::FrameHandler* inner) -> Result<std::vector<uint8_t>> {
         if (index == 0) {
           // A stale OpenOk from some earlier query: wrong nonce, wrong id.
-          return net::EncodeResponse(net::OpenOk{999, 0xBAD});
+          return net::EncodeResponse(net::OpenOk{999, 0xBAD, {}, {}});
         }
         return inner->HandleFrame(frame);
       });
@@ -273,8 +277,8 @@ TEST_F(WireRetryTest, StalePacketReplyIsRejectedBySessionAndSeq) {
         if (!injected && TypeOf(frame) == net::MessageType::kPullRequest) {
           injected = true;
           // A straggler packet of a dead session must not be consumed.
-          return net::EncodeResponse(
-              net::PacketReply{/*session_id=*/9999, /*seq=*/0, net::Packet{}});
+          return net::EncodeResponse(net::PacketReply{
+              /*session_id=*/9999, /*seq=*/0, net::Packet{}, {}});
         }
         return inner->HandleFrame(frame);
       });
@@ -336,7 +340,9 @@ TEST_F(WireRetryTest, DuplicatedReplyInFlightCostsNoRetries) {
   EXPECT_EQ(stats.backoff_ns, 0u);
   EXPECT_TRUE(slept.empty());
   EXPECT_EQ(transport.listens(), 1u);
-  EXPECT_EQ(stats.attempts, 1u + reference.size());  // open + one per pull
+  // The open, then one pull per packet after packet 0 (which rode the
+  // OpenOk); the duplicated reply is the first pull's, seq 1.
+  EXPECT_EQ(stats.attempts, reference.size());
   EXPECT_TRUE(in_flight.empty());  // the link is back in step
   EXPECT_TRUE((*session)->Close().ok());
 }
@@ -360,6 +366,8 @@ TEST_F(WireRetryTest, StaleFrameThenEmptyListenChargesOneRetry) {
   retry.sleep = [&slept](uint64_t ns) { slept.push_back(ns); };
   auto session = WireSession::Open(&transport, kAnchor, 0.0, 1, retry);
   ASSERT_TRUE(session.ok());
+  // Packet 0 rode the OpenOk; the first pull, seq 1, meets the fault.
+  ASSERT_TRUE((*session)->NextPacket().ok());
   auto packet = (*session)->NextPacket();
   ASSERT_TRUE(packet.ok()) << packet.status().ToString();
   // Stale frame -> listen (free) -> nothing in flight -> one charged
@@ -393,6 +401,8 @@ TEST_F(WireRetryTest, EndlessStaleFramesFailAfterBoundedWork) {
   retry.policy.max_attempts = 5;
   auto session = WireSession::Open(&transport, kAnchor, 0.0, 1, retry);
   ASSERT_TRUE(session.ok());
+  // Packet 0 rode the OpenOk; the first pull, seq 1, meets the stale flood.
+  ASSERT_TRUE((*session)->NextPacket().ok());
   auto packet = (*session)->NextPacket();
   EXPECT_TRUE(packet.status().IsDeadlineExceeded())
       << packet.status().ToString();
@@ -466,6 +476,51 @@ TEST_F(WireRetryTest, GenuineRejectionsAreNotRetried) {
   auto session = WireSession::Open(&transport, kAnchor, 0.0, 1);
   EXPECT_TRUE(session.status().IsResourceExhausted());
   EXPECT_EQ(transport.calls(), 1u);  // backpressure must not be hammered
+}
+
+// Open frames dropped, duplicated, reordered, corrupted and stalled, both
+// ways: every retry resends the same request and gets the session it
+// already opened, so each query opens exactly one session, and none is
+// left behind once its query closes. Every answer stays exact.
+TEST_F(WireRetryTest, FaultedOpensStrandNoSession) {
+  net::FaultRates rates;
+  rates.drop = 0.1;
+  rates.duplicate = 0.1;
+  rates.reorder = 0.1;
+  rates.corrupt = 0.1;
+  rates.stall = 0.1;
+  net::FaultConfig config;
+  config.uplink_overrides = {{net::MessageType::kOpenRequest, rates}};
+  config.downlink_overrides = {{net::MessageType::kOpenRequest, rates}};
+  net::FaultyTransport link(engine_.get(), config, /*seed=*/23);
+
+  core::SpaceTwistClient reference(server_.get());
+  core::QueryParams params;
+  params.k = 2;
+  constexpr size_t kQueries = 200;
+  Rng rng(2024);
+  for (size_t i = 0; i < kQueries; ++i) {
+    const geom::Point q{rng.Uniform(500, 9500), rng.Uniform(500, 9500)};
+    const geom::Point anchor = core::GenerateAnchor(
+        q, params.anchor_distance, server_->domain(), &rng);
+    RetryConfig retry;
+    retry.seed = 1000 + i;  // each query draws its own nonce
+    auto remote = RemoteQuery(&link, q, anchor, params, retry);
+    ASSERT_TRUE(remote.ok()) << "query " << i << ": "
+                             << remote.status().ToString();
+    auto local = reference.Query(q, anchor, params);
+    ASSERT_TRUE(local.ok());
+    EXPECT_EQ(eval::DigestOf(*remote), eval::DigestOf(*local))
+        << "query " << i;
+  }
+  const net::FaultStats faults = link.stats();
+  EXPECT_GT(faults.drops, 0u);
+  EXPECT_GT(faults.duplicates, 0u);
+  EXPECT_GT(faults.reorders, 0u);
+  EXPECT_GT(faults.corruptions, 0u);
+  EXPECT_GT(faults.stalls, 0u);
+  EXPECT_EQ(engine_->metrics().sessions_opened, kQueries);
+  EXPECT_EQ(engine_->open_sessions(), 0u);
 }
 
 TEST_F(WireRetryTest, SequencedPullReplayWindowSemantics) {

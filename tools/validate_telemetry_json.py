@@ -44,7 +44,9 @@ Checks every document passed on the command line:
   BENCH_fault.json, marked by "bench": "fault_resilience") must hold the
   expected shape its header states: goodput 1.0 on every row through a
   20% fault rate, duplicate rows free of retries and backoff (stale frames
-  are drained, not resent), and retries within 2x the faults injected;
+  are drained, not resent), retries within 2x the faults injected, and no
+  server session left open on a drop, dup or reorder row (mixed rows only
+  need a count);
 * spacetwist.timeseries.v1 — a windowed time-series export
   (TimeSeriesCollector via `serve-bench --timeseries`, or embedded in
   BENCH_openloop.json results) must carry contiguous per-interval windows
@@ -415,15 +417,21 @@ FAULT_FULL_GOODPUT_RATE = 0.20
 # A disconnect fails its own round trip and the re-open's; every other
 # fault costs at most one charged retry.
 FAULT_RETRIES_PER_FAULT = 2
+# Rows whose faults never need a mid-stream re-open: a retried or
+# duplicated Open gets the session it already opened, so every session is
+# closed by its query. Mixed rows add disconnects, and the close of a
+# session a disconnect abandoned is best effort.
+FAULT_NO_STRANDED_ROWS = ("drop", "dup", "reorder")
 
 
 def validate_fault_document(document, path):
     """A fault_resilience export (bench_fault_resilience's BENCH_fault.json).
 
     Gates the claims of the bench header on every row: full goodput through
-    a 20% fault rate, no retries or backoff for duplicates, and a retry cost
-    bounded by the faults actually injected. The embedded telemetry section
-    is validated by the caller's walk.
+    a 20% fault rate, no retries or backoff for duplicates, a retry cost
+    bounded by the faults actually injected, and no session left open on a
+    drop, dup or reorder row. The embedded telemetry section is validated
+    by the caller's walk.
     """
     results = document.get("results")
     if not isinstance(results, list) or not results:
@@ -442,7 +450,7 @@ def validate_fault_document(document, path):
             error(entry_path, "rate must be a number in [0, 1]")
             continue
         for key in ("faults_injected", "round_trips", "retries", "reopens",
-                    "stale_replies"):
+                    "stale_replies", "sessions_left_open"):
             if not is_int(entry.get(key)) or entry[key] < 0:
                 error(entry_path, f"{key} must be a non-negative integer")
         for key in ("goodput", "backoff_ms"):
@@ -471,6 +479,11 @@ def validate_fault_document(document, path):
             error(entry_path, f"{fault} at rate {rate}: {retries} retries "
                   f"exceed {FAULT_RETRIES_PER_FAULT}x the {injected} faults "
                   "injected")
+        left_open = entry.get("sessions_left_open")
+        if fault in FAULT_NO_STRANDED_ROWS and is_int(left_open) and left_open:
+            error(entry_path, f"{fault} at rate {rate}: {left_open} server "
+                  "sessions left open (a retried or duplicated Open must get "
+                  "the session it already opened)")
 
 
 def validate_window_histogram(window, path):

@@ -114,16 +114,19 @@ GOOD_FAULT = {
     "results": [
         {"fault": "drop", "rate": 0.0, "goodput": 1.0, "faults_injected": 0,
          "round_trips": 3047, "retries": 0, "reopens": 0,
-         "stale_replies": 0, "backoff_ms": 0.0},
+         "stale_replies": 0, "backoff_ms": 0.0, "sessions_left_open": 0},
         {"fault": "dup", "rate": 0.2, "goodput": 1.0,
          "faults_injected": 1204, "round_trips": 3047, "retries": 0,
-         "reopens": 0, "stale_replies": 1167, "backoff_ms": 0.0},
+         "reopens": 0, "stale_replies": 1167, "backoff_ms": 0.0,
+         "sessions_left_open": 0},
         {"fault": "mixed", "rate": 0.2, "goodput": 1.0,
          "faults_injected": 6121, "round_trips": 8292, "retries": 4468,
-         "reopens": 224, "stale_replies": 1434, "backoff_ms": 47858.4},
+         "reopens": 224, "stale_replies": 1434, "backoff_ms": 47858.4,
+         "sessions_left_open": 36},
         {"fault": "mixed", "rate": 0.5, "goodput": 0.61,
          "faults_injected": 9000, "round_trips": 12000, "retries": 9500,
-         "reopens": 400, "stale_replies": 2000, "backoff_ms": 90000.0},
+         "reopens": 400, "stale_replies": 2000, "backoff_ms": 90000.0,
+         "sessions_left_open": 80},
     ],
     "telemetry": copy.deepcopy(GOOD_TELEMETRY),
 }
@@ -547,6 +550,20 @@ def main():
         broken(GOOD_FAULT,
                lambda d: d["results"][2].__setitem__("retries", 12243)),
         "exceed 2x")
+    expect_error(
+        "fault sessions left open on a drop row",
+        broken(GOOD_FAULT,
+               lambda d: d["results"][0].__setitem__("sessions_left_open", 8)),
+        "8 server sessions left open")
+    expect_error(
+        "fault sessions left open on a dup row",
+        broken(GOOD_FAULT,
+               lambda d: d["results"][1].__setitem__("sessions_left_open", 1)),
+        "1 server sessions left open")
+    expect_error(
+        "fault missing sessions_left_open",
+        broken(GOOD_FAULT, lambda d: d["results"][2].pop("sessions_left_open")),
+        "sessions_left_open must be a non-negative integer")
     expect_error(
         "fault missing faults_injected",
         broken(GOOD_FAULT, lambda d: d["results"][0].pop("faults_injected")),
