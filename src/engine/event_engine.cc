@@ -8,8 +8,6 @@ namespace spacetwist::engine {
 
 namespace {
 
-constexpr auto kRelaxed = std::memory_order_relaxed;
-
 std::vector<uint8_t> EncodeError(const Status& status) {
   // Byte-identical to ServiceEngine's error frames for requests that never
   // named a session (session_id 0) — the only error class the engine
@@ -88,38 +86,23 @@ void EventEngine::WorkerLoop() {
 
 void EventEngine::Serve(FrameEvent event) {
   // Everything a frame contributes is counted before SendReply publishes
-  // its reply: a client can observe the reply (and read metrics()) the
+  // its reply: a client can observe the reply (and read the registry) the
   // instant the push lands.
-  counters_.frames.fetch_add(1, kRelaxed);
   instruments_.frames->Add();
 
   Result<net::Request> request = net::DecodeRequest(event.frame);
   if (!request.ok()) {
-    counters_.decode_errors.fetch_add(1, kRelaxed);
     instruments_.decode_errors->Add();
-    counters_.replies.fetch_add(1, kRelaxed);
     instruments_.replies->Add();
     transport_->SendReply(event.conn_id, EncodeError(request.status()));
     return;
   }
 
-  counters_.dispatched.fetch_add(1, kRelaxed);
   instruments_.dispatched->Add();
   instruments_.queue_delay_ns->Record(clock_->NowNs() - event.submit_ns);
   std::vector<uint8_t> reply = service_->HandleDecoded(*request);
-  counters_.replies.fetch_add(1, kRelaxed);
   instruments_.replies->Add();
   transport_->SendReply(event.conn_id, std::move(reply));
-}
-
-EventEngineMetrics EventEngine::metrics() const {
-  EventEngineMetrics m;
-  m.frames = counters_.frames.load(kRelaxed);
-  m.decode_errors = counters_.decode_errors.load(kRelaxed);
-  m.rejected = transport_->rejected();
-  m.dispatched = counters_.dispatched.load(kRelaxed);
-  m.replies = counters_.replies.load(kRelaxed);
-  return m;
 }
 
 }  // namespace spacetwist::engine

@@ -1,7 +1,6 @@
 #ifndef SPACETWIST_ENGINE_EVENT_ENGINE_H_
 #define SPACETWIST_ENGINE_EVENT_ENGINE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <thread>
@@ -33,15 +32,6 @@ struct EventEngineOptions {
   telemetry::MetricRegistry* registry = nullptr;
 };
 
-/// Point-in-time counters of the engine.
-struct EventEngineMetrics {
-  uint64_t frames = 0;         ///< events polled from the transport
-  uint64_t decode_errors = 0;  ///< malformed frames answered with an error
-  uint64_t rejected = 0;       ///< arrivals shed with kResourceExhausted
-  uint64_t dispatched = 0;     ///< requests run through HandleDecoded
-  uint64_t replies = 0;        ///< response frames sent for polled frames
-};
-
 /// Event-driven serving front end (docs/SERVICE.md §7): each wire session
 /// is a small explicit state machine — decode → dispatch → reply — driven
 /// by `worker_threads` workers over a readiness-based EventTransport. No
@@ -66,7 +56,7 @@ struct EventEngineMetrics {
 /// which must outlive it. Destruction shuts the transport down, lets the
 /// workers drain every accepted frame, and joins them.
 ///
-/// Exported instruments (docs/OBSERVABILITY.md):
+/// Exported instruments (docs/OBSERVABILITY.md), the engine's only counts:
 ///   engine.frames, engine.decode_errors, engine.rejected,
 ///   engine.dispatched, engine.replies            counters
 ///   engine.loop_idle_ns                          counter, the workers'
@@ -107,8 +97,6 @@ class EventEngine {
   /// Opens a new connection on the engine's transport.
   Port NewPort() { return Port(transport_, transport_->Connect()); }
 
-  EventEngineMetrics metrics() const;
-
  private:
   void WorkerLoop();
   void Serve(FrameEvent event);
@@ -116,14 +104,6 @@ class EventEngine {
   service::ServiceEngine* service_;
   InProcessEventTransport* transport_;
   telemetry::Clock* clock_;
-
-  struct Counters {
-    std::atomic<uint64_t> frames{0};
-    std::atomic<uint64_t> decode_errors{0};
-    std::atomic<uint64_t> dispatched{0};
-    std::atomic<uint64_t> replies{0};
-  };
-  Counters counters_;
 
   struct Instruments {
     telemetry::Counter* frames;

@@ -11,7 +11,7 @@ void InProcessEventTransport::SetAdmission(size_t max_ready,
   MutexLock lock(&mu_);
   max_ready_ = max_ready;
   clock_ = clock;
-  rejected_metric_ = rejected;
+  rejected_ = rejected;
 }
 
 uint64_t InProcessEventTransport::Connect() {
@@ -27,8 +27,7 @@ Status InProcessEventTransport::Submit(uint64_t conn_id,
   if (shutdown_) return Status::Internal("event transport shut down");
   if (max_ready_ != 0 && ready_.size() >= max_ready_) {
     // Counted before the client can see its refusal.
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    if (rejected_metric_ != nullptr) rejected_metric_->Add();
+    if (rejected_ != nullptr) rejected_->Add();
     return Status::ResourceExhausted("event engine run queue full");
   }
   const uint64_t submit_ns = clock_ != nullptr ? clock_->NowNs() : 0;

@@ -1,7 +1,6 @@
 #ifndef SPACETWIST_ENGINE_EVENT_TRANSPORT_H_
 #define SPACETWIST_ENGINE_EVENT_TRANSPORT_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -83,11 +82,6 @@ class InProcessEventTransport : public EventTransport {
   void SetAdmission(size_t max_ready, telemetry::Clock* clock,
                     telemetry::Counter* rejected) EXCLUDES(mu_);
 
-  /// Frames Submit has refused because the ready queue was full.
-  uint64_t rejected() const {
-    return rejected_.load(std::memory_order_relaxed);
-  }
-
   // Client side ----------------------------------------------------------
 
   /// Opens a connection; the returned id is never reused.
@@ -143,8 +137,7 @@ class InProcessEventTransport : public EventTransport {
   bool shutdown_ GUARDED_BY(mu_) = false;
   size_t max_ready_ GUARDED_BY(mu_) = 0;
   telemetry::Clock* clock_ GUARDED_BY(mu_) = nullptr;
-  telemetry::Counter* rejected_metric_ GUARDED_BY(mu_) = nullptr;
-  std::atomic<uint64_t> rejected_{0};
+  telemetry::Counter* rejected_ GUARDED_BY(mu_) = nullptr;
 };
 
 }  // namespace spacetwist::engine

@@ -48,6 +48,11 @@ Status ValidateOpen(const geom::Point& anchor, double epsilon, size_t k) {
   return Status::OK();
 }
 
+Status SessionNotFound(uint64_t session_id) {
+  return Status::NotFound(
+      StrFormat("session %llu", static_cast<unsigned long long>(session_id)));
+}
+
 }  // namespace
 
 ServiceEngine::ServiceEngine(server::InnBackend* backend,
@@ -90,15 +95,17 @@ ServiceEngine::ServiceEngine(server::InnBackend* backend,
 }
 
 ServiceEngine::~ServiceEngine() {
-  // Retire whatever is still live so final metrics() reads (taken after the
-  // engine quiesces but before destruction) and the abandoned-session
-  // accounting contract both hold for users who snapshot via EvictIdle.
+  // Retire whatever is still live, so a registry snapshot taken after the
+  // engine is gone counts every session's transport and no live session.
+  int64_t retired = 0;
   for (Shard& shard : shards_) {
     MutexLock lock(&shard.mu);
     for (auto it = shard.sessions.begin(); it != shard.sessions.end();) {
       it = RetireLocked(&shard, it);
+      ++retired;
     }
   }
+  instruments_.open_sessions->Add(-retired);
 }
 
 uint64_t ServiceEngine::NewId(size_t stripe) {
@@ -116,7 +123,6 @@ Status ServiceEngine::ClaimSlot() {
     return false;
   };
   if (!try_claim() && (EvictIdle() == 0 || !try_claim())) {
-    counters_.sessions_rejected.fetch_add(1, kRelaxed);
     instruments_.sessions_rejected->Add();
     return Status::ResourceExhausted(
         StrFormat("session limit (%zu) reached", options_.max_sessions));
@@ -130,7 +136,7 @@ ServiceEngine::Session ServiceEngine::NewSession(const geom::Point& anchor,
   session.stream =
       backend_->OpenInnSource(anchor, epsilon, k, options_.granular);
   session.channel = std::make_unique<net::PacketChannel>(session.stream.get(),
-                                                         options_.packet);
+                                                         net::PacketConfig());
   return session;
 }
 
@@ -140,31 +146,14 @@ void ServiceEngine::PublishLocked(Shard* shard, uint64_t id, Session session) {
   // elsewhere cannot pin this shard's abandoned sessions forever.
   SweepShardLocked(shard, now);
   session.last_touch_ns = now;
-  if (!session.open_key.empty()) shard->opens.emplace(session.open_key, id);
+  shard->opens.emplace(session.open_key, id);
   shard->sessions.emplace(id, std::move(session));
   instruments_.shard_sessions->Record(shard->sessions.size());
-  counters_.sessions_opened.fetch_add(1, kRelaxed);
   instruments_.sessions_opened->Add();
   instruments_.open_sessions->Add(1);
 }
 
-Result<uint64_t> ServiceEngine::Open(const geom::Point& anchor, double epsilon,
-                                     size_t k) {
-  counters_.open_requests.fetch_add(1, kRelaxed);
-  instruments_.open_requests->Add();
-  SPACETWIST_RETURN_NOT_OK(ValidateOpen(anchor, epsilon, k));
-  SPACETWIST_RETURN_NOT_OK(ClaimSlot());
-  Session session = NewSession(anchor, epsilon, k);
-  // A typed session has no Open key, so any stripe will do: spread them.
-  const uint64_t id = NewId(next_id_.load(kRelaxed) % shards_.size());
-  Shard& shard = ShardFor(id);
-  MutexLock lock(&shard.mu);
-  PublishLocked(&shard, id, std::move(session));
-  return id;
-}
-
 std::vector<uint8_t> ServiceEngine::HandleOpen(const net::OpenRequest& open) {
-  counters_.open_requests.fetch_add(1, kRelaxed);
   instruments_.open_requests->Add();
   const Status valid = ValidateOpen(open.anchor, open.epsilon, open.k);
   if (!valid.ok()) return EncodeErrorFrame(valid);
@@ -263,55 +252,68 @@ std::vector<uint8_t> ServiceEngine::RepeatOpenLocked(
   return net::EncodeResponse(reply);
 }
 
-Result<net::Packet> ServiceEngine::Pull(uint64_t session_id) {
-  Shard& shard = ShardFor(session_id);
-  MutexLock lock(&shard.mu);
-  auto it = shard.sessions.find(session_id);
-  if (it == shard.sessions.end()) {
-    counters_.pull_requests.fetch_add(1, kRelaxed);
-    instruments_.pull_requests->Add();
-    return Status::NotFound(StrFormat(
-        "session %llu", static_cast<unsigned long long>(session_id)));
-  }
-  return PullLocked(&shard, &it->second, it->second.next_seq, nullptr);
-}
-
-Result<net::Packet> ServiceEngine::Pull(uint64_t session_id, uint64_t seq) {
-  Shard& shard = ShardFor(session_id);
-  MutexLock lock(&shard.mu);
-  auto it = shard.sessions.find(session_id);
-  if (it == shard.sessions.end()) {
-    counters_.pull_requests.fetch_add(1, kRelaxed);
-    instruments_.pull_requests->Add();
-    return Status::NotFound(StrFormat(
-        "session %llu", static_cast<unsigned long long>(session_id)));
-  }
-  return PullLocked(&shard, &it->second, seq, nullptr);
-}
-
-Result<net::Packet> ServiceEngine::PullLocked(Shard* /*shard*/, Session* session,
-                                              uint64_t seq,
-                                              telemetry::Trace* trace) {
-  counters_.pull_requests.fetch_add(1, kRelaxed);
+std::vector<uint8_t> ServiceEngine::HandlePull(const net::PullRequest& pull) {
   instruments_.pull_requests->Add();
-  session->last_touch_ns = NowNs();
-  if (session->has_cached && seq + 1 == session->next_seq) {
-    // Idempotent retry: the client never saw the reply to its last pull.
-    counters_.pulls_replayed.fetch_add(1, kRelaxed);
-    instruments_.pulls_replayed->Add();
-    if (trace != nullptr) trace->Event("server.replay", seq);
-    return session->cached;
-  }
-  if (seq != session->next_seq) {
-    return Status::InvalidArgument(StrFormat(
-        "pull seq %llu outside replay window (next is %llu)",
-        static_cast<unsigned long long>(seq),
-        static_cast<unsigned long long>(session->next_seq)));
-  }
-  // The stream traversal runs under the shard lock; different shards
-  // proceed in parallel and share the tree through its synchronized
-  // buffer pool.
-  return Advance(session, trace);
+  Shard& shard = ShardFor(pull.session_id);
+  std::vector<telemetry::SpanRecord> spans;
+  Result<net::Packet> packet = [&]() -> Result<net::Packet> {
+    MutexLock lock(&shard.mu);
+    const auto it = shard.sessions.find(pull.session_id);
+    if (it == shard.sessions.end()) return SessionNotFound(pull.session_id);
+    Session& session = it->second;
+    std::optional<telemetry::Trace> trace;
+    if (pull.sampled) {
+      // A sampled pull (re)binds the session to its trace: a re-opened
+      // session may serve a different query than the one that opened it.
+      session.trace_id = pull.trace_id;
+      session.sampled = true;
+      trace.emplace(clock_);
+      trace->set_trace_id(pull.trace_id);
+    }
+    telemetry::Trace* traced = trace ? &*trace : nullptr;
+    Result<net::Packet> served = [&]() -> Result<net::Packet> {
+      telemetry::Trace::Span dispatch =
+          telemetry::Trace::SpanOn(traced, "server.dispatch");
+      telemetry::Trace::Span pull_span =
+          telemetry::Trace::SpanOn(traced, "server.pull");
+      pull_span.Note("seq", pull.seq);
+      session.last_touch_ns = NowNs();
+      if (session.has_cached && pull.seq + 1 == session.next_seq) {
+        // Idempotent retry: the client never saw the reply to its last
+        // pull.
+        instruments_.pulls_replayed->Add();
+        telemetry::Trace::EventOn(traced, "server.replay", pull.seq);
+        return session.cached;
+      }
+      if (pull.seq != session.next_seq) {
+        return Status::InvalidArgument(StrFormat(
+            "pull seq %llu outside replay window (next is %llu)",
+            static_cast<unsigned long long>(pull.seq),
+            static_cast<unsigned long long>(session.next_seq)));
+      }
+      // The stream traversal runs under the shard lock; different shards
+      // proceed in parallel and share the tree through its synchronized
+      // buffer pool.
+      return Advance(&session, traced);
+    }();
+    if (traced == nullptr) return served;
+    AppendSpans(&session.sink_spans, traced->records(),
+                kMaxSinkSpansPerSession);
+    if (!served.ok()) {
+      // The reply is a span-free ErrorReply; hold this request's spans for
+      // the session's next successful reply.
+      AppendSpans(&session.pending_spans, traced->records(),
+                  net::kMaxWireSpansPerFrame);
+      return served;
+    }
+    spans = std::move(session.pending_spans);
+    session.pending_spans.clear();
+    AppendSpans(&spans, traced->records(), net::kMaxWireSpansPerFrame);
+    return served;
+  }();
+  if (!packet.ok()) return EncodeErrorFrame(packet.status(), pull.session_id);
+  return net::EncodeResponse(net::PacketReply{
+      pull.session_id, pull.seq, packet.MoveValueOrDie(), std::move(spans)});
 }
 
 Result<net::Packet> ServiceEngine::Advance(Session* session,
@@ -350,63 +352,17 @@ Result<net::Packet> ServiceEngine::Advance(Session* session,
   return packet;
 }
 
-Result<net::Packet> ServiceEngine::PullForWire(
-    uint64_t session_id, uint64_t seq, uint64_t trace_id,
-    std::vector<telemetry::SpanRecord>* spans_out) {
-  Shard& shard = ShardFor(session_id);
-  MutexLock lock(&shard.mu);
-  auto it = shard.sessions.find(session_id);
-  if (it == shard.sessions.end()) {
-    counters_.pull_requests.fetch_add(1, kRelaxed);
-    instruments_.pull_requests->Add();
-    return Status::NotFound(StrFormat(
-        "session %llu", static_cast<unsigned long long>(session_id)));
-  }
-  Session& session = it->second;
-  // A sampled pull (re)binds the session to its trace: a re-opened session
-  // may serve a different query than the one that opened it.
-  session.trace_id = trace_id;
-  session.sampled = true;
-  telemetry::Trace trace(clock_);
-  trace.set_trace_id(trace_id);
-  telemetry::Trace::Span dispatch = trace.StartSpan("server.dispatch");
-  telemetry::Trace::Span pull_span = trace.StartSpan("server.pull");
-  pull_span.Note("seq", seq);
-  Result<net::Packet> packet = PullLocked(&shard, &session, seq, &trace);
-  pull_span.End();
-  dispatch.End();
-  AppendSpans(&session.sink_spans, trace.records(), kMaxSinkSpansPerSession);
-  if (!packet.ok()) {
-    // The reply is a span-free ErrorReply; hold this request's spans for
-    // the session's next successful reply.
-    AppendSpans(&session.pending_spans, trace.records(),
-                net::kMaxWireSpansPerFrame);
-    return packet;
-  }
-  *spans_out = std::move(session.pending_spans);
-  session.pending_spans.clear();
-  AppendSpans(spans_out, trace.records(), net::kMaxWireSpansPerFrame);
-  return packet;
-}
-
-Status ServiceEngine::Close(uint64_t session_id) {
-  return CloseInternal(session_id, nullptr);
-}
-
-Status ServiceEngine::CloseInternal(
-    uint64_t session_id, std::vector<telemetry::SpanRecord>* spans_out) {
-  counters_.close_requests.fetch_add(1, kRelaxed);
+std::vector<uint8_t> ServiceEngine::HandleClose(
+    const net::CloseRequest& close) {
   instruments_.close_requests->Add();
-  Shard& shard = ShardFor(session_id);
-  {
+  Shard& shard = ShardFor(close.session_id);
+  std::vector<telemetry::SpanRecord> spans;
+  const bool found = [&] {
     MutexLock lock(&shard.mu);
-    auto it = shard.sessions.find(session_id);
-    if (it == shard.sessions.end()) {
-      return Status::NotFound(StrFormat(
-          "session %llu", static_cast<unsigned long long>(session_id)));
-    }
+    const auto it = shard.sessions.find(close.session_id);
+    if (it == shard.sessions.end()) return false;
     Session& session = it->second;
-    if (spans_out != nullptr && session.sampled) {
+    if (session.sampled) {
       // CloseRequest carries no trace context on the wire; the session
       // remembers which trace it belongs to.
       telemetry::Trace trace(clock_);
@@ -417,36 +373,27 @@ Status ServiceEngine::CloseInternal(
       dispatch.End();
       AppendSpans(&session.sink_spans, trace.records(),
                   kMaxSinkSpansPerSession);
-      *spans_out = std::move(session.pending_spans);
+      spans = std::move(session.pending_spans);
       session.pending_spans.clear();
-      AppendSpans(spans_out, trace.records(), net::kMaxWireSpansPerFrame);
+      AppendSpans(&spans, trace.records(), net::kMaxWireSpansPerFrame);
     }
     RetireLocked(&shard, it);
+    return true;
+  }();
+  if (!found) {
+    return EncodeErrorFrame(SessionNotFound(close.session_id),
+                            close.session_id);
   }
   open_count_.fetch_sub(1, kRelaxed);
-  counters_.sessions_closed.fetch_add(1, kRelaxed);
   instruments_.sessions_closed->Add();
   instruments_.open_sessions->Add(-1);
-  return Status::OK();
-}
-
-Result<net::ChannelStats> ServiceEngine::SessionStats(
-    uint64_t session_id) const {
-  const Shard& shard = ShardFor(session_id);
-  MutexLock lock(&shard.mu);
-  auto it = shard.sessions.find(session_id);
-  if (it == shard.sessions.end()) {
-    return Status::NotFound(StrFormat(
-        "session %llu", static_cast<unsigned long long>(session_id)));
-  }
-  return it->second.channel->stats();
+  return net::EncodeResponse(net::CloseOk{close.session_id, std::move(spans)});
 }
 
 std::vector<uint8_t> ServiceEngine::HandleFrame(
     const std::vector<uint8_t>& request_frame) {
   Result<net::Request> request = net::DecodeRequest(request_frame);
   if (!request.ok()) {
-    counters_.decode_errors.fetch_add(1, kRelaxed);
     instruments_.decode_errors->Add();
     return EncodeErrorFrame(request.status());
   }
@@ -458,23 +405,9 @@ std::vector<uint8_t> ServiceEngine::HandleDecoded(const net::Request& request) {
     return HandleOpen(*open);
   }
   if (const auto* pull = std::get_if<net::PullRequest>(&request)) {
-    std::vector<telemetry::SpanRecord> spans;
-    Result<net::Packet> packet =
-        pull->sampled
-            ? PullForWire(pull->session_id, pull->seq, pull->trace_id, &spans)
-            : Pull(pull->session_id, pull->seq);
-    if (!packet.ok()) {
-      return EncodeErrorFrame(packet.status(), pull->session_id);
-    }
-    return net::EncodeResponse(net::PacketReply{
-        pull->session_id, pull->seq, packet.MoveValueOrDie(),
-        std::move(spans)});
+    return HandlePull(*pull);
   }
-  const auto& close = std::get<net::CloseRequest>(request);
-  std::vector<telemetry::SpanRecord> spans;
-  Status status = CloseInternal(close.session_id, &spans);
-  if (!status.ok()) return EncodeErrorFrame(status, close.session_id);
-  return net::EncodeResponse(net::CloseOk{close.session_id, std::move(spans)});
+  return HandleClose(std::get<net::CloseRequest>(request));
 }
 
 size_t ServiceEngine::EvictIdle() {
@@ -485,26 +418,6 @@ size_t ServiceEngine::EvictIdle() {
     evicted += SweepShardLocked(&shard, now);
   }
   return evicted;
-}
-
-EngineMetrics ServiceEngine::metrics() const {
-  EngineMetrics m;
-  m.open_requests = counters_.open_requests.load(kRelaxed);
-  m.pull_requests = counters_.pull_requests.load(kRelaxed);
-  m.pulls_replayed = counters_.pulls_replayed.load(kRelaxed);
-  m.close_requests = counters_.close_requests.load(kRelaxed);
-  m.decode_errors = counters_.decode_errors.load(kRelaxed);
-  m.sessions_opened = counters_.sessions_opened.load(kRelaxed);
-  m.sessions_closed = counters_.sessions_closed.load(kRelaxed);
-  m.sessions_evicted = counters_.sessions_evicted.load(kRelaxed);
-  m.sessions_rejected = counters_.sessions_rejected.load(kRelaxed);
-  m.open_sessions = open_count_.load(kRelaxed);
-  m.transport.downlink_packets = totals_.downlink_packets.load(kRelaxed);
-  m.transport.downlink_points = totals_.downlink_points.load(kRelaxed);
-  m.transport.uplink_packets = totals_.uplink_packets.load(kRelaxed);
-  m.transport.downlink_bytes = totals_.downlink_bytes.load(kRelaxed);
-  m.transport.uplink_bytes = totals_.uplink_bytes.load(kRelaxed);
-  return m;
 }
 
 std::unordered_map<uint64_t, ServiceEngine::Session>::iterator
@@ -518,17 +431,12 @@ ServiceEngine::RetireLocked(
     session.sink_spans.clear();
   }
   const net::ChannelStats& stats = session.channel->stats();
-  totals_.downlink_packets.fetch_add(stats.downlink_packets, kRelaxed);
-  totals_.downlink_points.fetch_add(stats.downlink_points, kRelaxed);
-  totals_.uplink_packets.fetch_add(stats.uplink_packets, kRelaxed);
-  totals_.downlink_bytes.fetch_add(stats.downlink_bytes, kRelaxed);
-  totals_.uplink_bytes.fetch_add(stats.uplink_bytes, kRelaxed);
   instruments_.downlink_packets->Add(stats.downlink_packets);
   instruments_.downlink_points->Add(stats.downlink_points);
   instruments_.uplink_packets->Add(stats.uplink_packets);
   instruments_.downlink_bytes->Add(stats.downlink_bytes);
   instruments_.uplink_bytes->Add(stats.uplink_bytes);
-  if (!session.open_key.empty()) shard->opens.erase(session.open_key);
+  shard->opens.erase(session.open_key);
   return shard->sessions.erase(it);
 }
 
@@ -546,7 +454,6 @@ size_t ServiceEngine::SweepShardLocked(Shard* shard, uint64_t now_ns) {
   }
   if (evicted > 0) {
     open_count_.fetch_sub(evicted, kRelaxed);
-    counters_.sessions_evicted.fetch_add(evicted, kRelaxed);
     instruments_.sessions_evicted->Add(evicted);
     instruments_.open_sessions->Add(-static_cast<int64_t>(evicted));
   }

@@ -36,9 +36,9 @@ struct ServiceOptions {
   /// kResourceExhausted (backpressure, not an internal error).
   size_t max_sessions = 1024;
   /// Sessions idle longer than this are evicted (their transport counters
-  /// are still absorbed into the totals). 0 disables idle eviction.
+  /// are still absorbed into the net.channel.* instruments). 0 disables
+  /// idle eviction.
   uint64_t idle_ttl_ns = 0;
-  net::PacketConfig packet;  ///< downlink packet sizing (beta = 67)
   server::GranularOptions granular;
   /// Monotonic nanosecond clock; inject a telemetry::VirtualClock so tests
   /// drive TTL eviction deterministically. Null = the process-wide real
@@ -56,23 +56,6 @@ struct ServiceOptions {
   telemetry::TraceSink* trace_sink = nullptr;
 };
 
-/// Snapshot of the engine's counters. Transport totals cover closed,
-/// evicted, and abandoned-then-swept sessions; live sessions contribute
-/// once they retire (query SessionStats for in-flight numbers).
-struct EngineMetrics {
-  uint64_t open_requests = 0;   ///< Opens received, repeats included
-  uint64_t pull_requests = 0;   ///< Pulls only: an Open's packet 0 is not one
-  uint64_t pulls_replayed = 0;  ///< idempotent retries served from cache
-  uint64_t close_requests = 0;
-  uint64_t decode_errors = 0;
-  uint64_t sessions_opened = 0;  ///< sessions created
-  uint64_t sessions_closed = 0;
-  uint64_t sessions_evicted = 0;
-  uint64_t sessions_rejected = 0;
-  uint64_t open_sessions = 0;  ///< currently live
-  net::ChannelStats transport;
-};
-
 /// Concurrent multi-client serving engine: the thread-safe front end that
 /// turns the single-query library (LbsServer + GranularInnStream +
 /// PacketChannel) into something a fleet of clients can hit in parallel.
@@ -84,9 +67,11 @@ struct EngineMetrics {
 ///  * Idle sessions (no Pull/Close for `idle_ttl_ns`) are swept on the Open
 ///    path and via EvictIdle(); their counters are absorbed, so abandoned
 ///    clients cannot leak server memory or statistics.
-///  * The wire entry point HandleFrame() decodes a request frame, dispatches
-///    to the typed API, and encodes the response frame — the engine is a
-///    net::FrameHandler, i.e. a drop-in in-process "server socket".
+///  * A request frame is the only way in: HandleFrame() decodes it, runs
+///    the one handler for its type, and encodes the response frame — the
+///    engine is a net::FrameHandler, i.e. a drop-in in-process "server
+///    socket". Every count it keeps is a registry instrument
+///    (service.engine.*, net.channel.*; docs/OBSERVABILITY.md).
 ///  * A wire Open is one round trip and idempotent per query: its OpenOk
 ///    carries packet 0, and a byte-identical repeat of a live session's
 ///    OpenRequest (a retry after a lost reply, a duplicated frame) gets
@@ -112,41 +97,30 @@ class ServiceEngine : public net::FrameHandler {
   ServiceEngine(const ServiceEngine&) = delete;
   ServiceEngine& operator=(const ServiceEngine&) = delete;
 
-  /// Opens a granular INN session (epsilon == 0 gives exact INN), whose
-  /// first Pull serves packet 0 (a wire Open serves it on the OpenOk
-  /// instead, see HandleFrame). kInvalidArgument for k < 1, a negative
-  /// epsilon, or an anchor coordinate or epsilon that is NaN or beyond
-  /// float32's range (every coordinate here is float32).
-  /// kResourceExhausted once `max_sessions` sessions are live and none is
-  /// evictable.
-  Result<uint64_t> Open(const geom::Point& anchor, double epsilon, size_t k);
-
-  /// Pulls the session's next packet; kExhausted when the stream is dry,
-  /// kNotFound for unknown/closed/evicted ids.
-  Result<net::Packet> Pull(uint64_t session_id);
-
-  /// Sequenced pull (what the wire protocol uses): `seq` is the 0-based
-  /// packet number the client wants. Asking for the packet most recently
-  /// served replays it from the session's one-packet cache — the
-  /// idempotent-retry path for clients whose response frame was lost —
-  /// while `seq == packets served` advances the stream. Anything else is
-  /// out of the replay window and yields kInvalidArgument.
-  Result<net::Packet> Pull(uint64_t session_id, uint64_t seq);
-
-  /// Closes a session. Not idempotent: a second Close (or a Close after
-  /// eviction) is kNotFound so misbehaving clients are surfaced.
-  Status Close(uint64_t session_id);
-
-  /// Transport counters of one live session.
-  Result<net::ChannelStats> SessionStats(uint64_t session_id) const;
-
   /// Wire-level entry point: one request frame in, one response frame out.
   /// Malformed frames yield an encoded kError response (never a crash).
-  /// An OpenRequest opens a session and answers with its packet 0, unless
-  /// it repeats the Open of a live session: then it gets that session's
-  /// OpenOk again while the session has served only packet 0, and a
-  /// kOutOfRange ErrorReply echoing the session id once it is past (a
-  /// stale duplicate). Safe to call from many threads.
+  ///
+  /// An OpenRequest opens a granular INN session (epsilon == 0 gives exact
+  /// INN) and answers with its packet 0, unless it repeats the Open of a
+  /// live session: then it gets that session's OpenOk again while the
+  /// session has served only packet 0, and a kOutOfRange ErrorReply
+  /// echoing the session id once it is past (a stale duplicate). An Open
+  /// with k < 1, a negative epsilon, or an anchor coordinate or epsilon
+  /// that is NaN or beyond float32's range (every coordinate here is
+  /// float32) is kInvalidArgument; one that finds `max_sessions` sessions
+  /// live and none evictable is kResourceExhausted.
+  ///
+  /// A PullRequest's `seq` is the 0-based packet number the client wants:
+  /// `seq == packets served` advances the stream, asking for the packet
+  /// most recently served replays it from the session's one-packet cache
+  /// (the idempotent retry of a client whose reply was lost), and anything
+  /// else is outside the replay window, kInvalidArgument. A dry stream is
+  /// kExhausted; an unknown, closed or evicted session is kNotFound.
+  ///
+  /// A CloseRequest is not idempotent: a second Close (or a Close after
+  /// eviction) is kNotFound, so misbehaving clients are surfaced.
+  ///
+  /// Safe to call from many threads.
   std::vector<uint8_t> HandleFrame(
       const std::vector<uint8_t>& request_frame) override;
 
@@ -160,11 +134,10 @@ class ServiceEngine : public net::FrameHandler {
   /// Sweeps every shard for idle sessions now; returns how many it evicted.
   size_t EvictIdle();
 
+  /// Live sessions: the count that enforces `max_sessions`.
   size_t open_sessions() const {
     return open_count_.load(std::memory_order_relaxed);
   }
-  EngineMetrics metrics() const;
-  const net::PacketConfig& packet_config() const { return options_.packet; }
 
  private:
   struct Session {
@@ -184,8 +157,8 @@ class ServiceEngine : public net::FrameHandler {
     bool sampled = false;
     std::vector<telemetry::SpanRecord> pending_spans;
     std::vector<telemetry::SpanRecord> sink_spans;
-    /// Key of the wire Open that created the session, indexed in its
-    /// stripe's `opens`; empty for sessions of the typed Open.
+    /// Key of the Open that created the session, indexed in its stripe's
+    /// `opens`.
     std::string open_key;
   };
 
@@ -193,20 +166,17 @@ class ServiceEngine : public net::FrameHandler {
     // Rank: held across a session's stream advance and retirement, so page
     // fetches, trace-sink offers and a shard router's fan-out log all nest
     // inside it.
-    mutable Mutex mu ACQUIRED_AFTER(lock_order::kEngineFront)
+    Mutex mu ACQUIRED_AFTER(lock_order::kEngineFront)
         ACQUIRED_BEFORE(lock_order::kRouterFanout){
             LockRank::kEngineFront, "service.engine.front_stripe"};
     std::unordered_map<uint64_t, Session> sessions GUARDED_BY(mu);
-    /// Repeat index: the key of each live wire-opened session in this
-    /// stripe — its OpenRequest's canonical frame, so keys match exactly
-    /// when the requests are byte-identical on the wire — to its id.
+    /// Repeat index: the key of each live session in this stripe — its
+    /// OpenRequest's canonical frame, so keys match exactly when the
+    /// requests are byte-identical on the wire — to its id.
     std::unordered_map<std::string, uint64_t> opens GUARDED_BY(mu);
   };
 
   Shard& ShardFor(uint64_t session_id) {
-    return shards_[session_id % shards_.size()];
-  }
-  const Shard& ShardFor(uint64_t session_id) const {
     return shards_[session_id % shards_.size()];
   }
 
@@ -239,13 +209,12 @@ class ServiceEngine : public net::FrameHandler {
                                         const net::OpenRequest& open)
       REQUIRES(shard->mu);
 
-  /// Shared body of the Pull overloads; caller holds the owning shard's
-  /// mutex (`shard` names it for the static analysis). With a non-null
-  /// `trace`, the stream advance is recorded as a "server.granular.scan"
-  /// span (page fetches nested inside) and replays as "server.replay"
-  /// events.
-  Result<net::Packet> PullLocked(Shard* shard, Session* session, uint64_t seq,
-                                 telemetry::Trace* trace) REQUIRES(shard->mu);
+  /// Body of HandleDecoded for a PullRequest (see HandleFrame). A sampled
+  /// pull records its dispatch, the stream advance (as a
+  /// "server.granular.scan" span with page fetches nested inside) or a
+  /// replay (as a "server.replay" event), and ships the session's pending
+  /// spans with this request's on the reply.
+  std::vector<uint8_t> HandlePull(const net::PullRequest& pull);
 
   /// Serves the session's next packet from its stream and caches it for
   /// replays, tracing the scan on a non-null `trace`. The caller owns the
@@ -253,22 +222,15 @@ class ServiceEngine : public net::FrameHandler {
   /// published yet.
   Result<net::Packet> Advance(Session* session, telemetry::Trace* trace);
 
-  /// Traced variant of Pull(id, seq) for sampled wire requests: runs the
-  /// pull under a server-side trace and moves the session's shippable spans
-  /// (anything pending plus this request's) into `spans_out` on success.
-  Result<net::Packet> PullForWire(uint64_t session_id, uint64_t seq,
-                                  uint64_t trace_id,
-                                  std::vector<telemetry::SpanRecord>* spans_out);
+  /// Body of HandleDecoded for a CloseRequest (see HandleFrame); a sampled
+  /// session's close is traced and its final shippable spans ride the
+  /// CloseOk.
+  std::vector<uint8_t> HandleClose(const net::CloseRequest& close);
 
-  /// Body of Close(); with a non-null `spans_out` (the wire path) a sampled
-  /// session's close is traced and its final shippable spans moved out.
-  Status CloseInternal(uint64_t session_id,
-                       std::vector<telemetry::SpanRecord>* spans_out);
-
-  /// Retires a session (close or eviction): folds its transport counters
-  /// into the totals, offers a sampled session's span list to the trace
-  /// sink, and drops it from the stripe and its repeat index. Returns the
-  /// iterator past it.
+  /// Retires a session (close, eviction or engine destruction): adds its
+  /// transport counters to the net.channel.* instruments, offers a sampled
+  /// session's span list to the trace sink, and drops it from the stripe
+  /// and its repeat index. Returns the iterator past it.
   std::unordered_map<uint64_t, Session>::iterator RetireLocked(
       Shard* shard, std::unordered_map<uint64_t, Session>::iterator it)
       REQUIRES(shard->mu);
@@ -291,34 +253,10 @@ class ServiceEngine : public net::FrameHandler {
   std::atomic<uint64_t> next_id_{1};
   std::atomic<uint64_t> open_count_{0};
 
-  /// Request/session counters (relaxed: monotone event counts).
-  struct Counters {
-    std::atomic<uint64_t> open_requests{0};
-    std::atomic<uint64_t> pull_requests{0};
-    std::atomic<uint64_t> pulls_replayed{0};
-    std::atomic<uint64_t> close_requests{0};
-    std::atomic<uint64_t> decode_errors{0};
-    std::atomic<uint64_t> sessions_opened{0};
-    std::atomic<uint64_t> sessions_closed{0};
-    std::atomic<uint64_t> sessions_evicted{0};
-    std::atomic<uint64_t> sessions_rejected{0};
-  };
-  Counters counters_;
-
-  /// Absorbed transport totals across retired sessions.
-  struct TransportTotals {
-    std::atomic<uint64_t> downlink_packets{0};
-    std::atomic<uint64_t> downlink_points{0};
-    std::atomic<uint64_t> uplink_packets{0};
-    std::atomic<uint64_t> downlink_bytes{0};
-    std::atomic<uint64_t> uplink_bytes{0};
-  };
-  TransportTotals totals_;
-
-  /// Registry mirrors of Counters/TransportTotals plus the occupancy
-  /// instruments (gauge of live sessions, histogram of per-shard session
-  /// counts sampled at each Open). Resolved once in the constructor; the
-  /// engine's own atomics stay the source of truth for metrics().
+  /// The engine's instruments (docs/OBSERVABILITY.md): request and session
+  /// lifecycle counters, the gauge of live sessions, the histogram of
+  /// per-stripe session counts sampled at each Open, and the transport
+  /// counters of retired sessions. Resolved once in the constructor.
   struct Instruments {
     telemetry::Counter* open_requests;
     telemetry::Counter* pull_requests;

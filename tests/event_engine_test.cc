@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -26,6 +27,10 @@
 
 namespace spacetwist::engine {
 namespace {
+
+uint64_t Count(telemetry::MetricRegistry& registry, std::string_view name) {
+  return registry.GetCounter(name)->value();
+}
 
 TEST(InProcessEventTransportTest, SubmitPollReplyRoundTrip) {
   InProcessEventTransport transport;
@@ -99,7 +104,6 @@ TEST(InProcessEventTransportTest, SubmitPastTheBoundIsRefusedAndCounted) {
   // Nobody polls: the third arrival finds the ready queue full.
   const Status refused = transport.Submit(conn, {3});
   EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(transport.rejected(), 1u);
   EXPECT_EQ(rejected.value(), 1u);
 
   // The accepted frames are intact and stamped on the admission clock.
@@ -110,7 +114,7 @@ TEST(InProcessEventTransportTest, SubmitPastTheBoundIsRefusedAndCounted) {
   EXPECT_EQ(events[0].submit_ns, 42u);
   // Polling made room again.
   EXPECT_TRUE(transport.Submit(conn, {4}).ok());
-  EXPECT_EQ(transport.rejected(), 1u);
+  EXPECT_EQ(rejected.value(), 1u);
 }
 
 TEST(InProcessEventTransportTest, DisconnectDropsTheConnectionAndItsReplies) {
@@ -261,12 +265,12 @@ TEST_F(EventEngineTest, ServesFullSessionThroughPort) {
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->neighbors.size(), 4u);
 
-  const EventEngineMetrics metrics = engine.metrics();
-  EXPECT_GE(metrics.frames, 2u);  // open (with packet 0) + pulls + close
-  EXPECT_EQ(metrics.frames, metrics.dispatched);
-  EXPECT_EQ(metrics.replies, metrics.frames);
-  EXPECT_EQ(metrics.decode_errors, 0u);
-  EXPECT_EQ(metrics.rejected, 0u);
+  const uint64_t frames = Count(registry, "engine.frames");
+  EXPECT_GE(frames, 2u);  // open (with packet 0) + pulls + close
+  EXPECT_EQ(Count(registry, "engine.dispatched"), frames);
+  EXPECT_EQ(Count(registry, "engine.replies"), frames);
+  EXPECT_EQ(Count(registry, "engine.decode_errors"), 0u);
+  EXPECT_EQ(Count(registry, "engine.rejected"), 0u);
 }
 
 TEST_F(EventEngineTest, LoopInstrumentsLandInRegistrySnapshot) {
@@ -297,7 +301,7 @@ TEST_F(EventEngineTest, LoopInstrumentsLandInRegistrySnapshot) {
   }
   ASSERT_NE(poll_batch, nullptr);
   EXPECT_GE(poll_batch->count, 1u);
-  EXPECT_EQ(poll_batch->sum, engine.metrics().frames);
+  EXPECT_EQ(poll_batch->sum, Count(registry, "engine.frames"));
 
   // engine.loop_idle_ns: the WaitReady headroom counter exists (its value
   // is wall-clock park time, so only presence is asserted here).
@@ -312,7 +316,10 @@ TEST_F(EventEngineTest, MalformedFrameGetsServiceIdenticalErrorReply) {
   service::ServiceEngine service(server_.get());
   service::ServiceEngine reference(server_.get());
   InProcessEventTransport transport;
-  EventEngine engine(&service, &transport, EventEngineOptions{});
+  telemetry::MetricRegistry registry;
+  EventEngineOptions options;
+  options.registry = &registry;
+  EventEngine engine(&service, &transport, options);
 
   const std::vector<uint8_t> garbage = {0xDE, 0xAD, 0xBE, 0xEF, 0x42};
   EventEngine::Port port = engine.NewPort();
@@ -324,7 +331,7 @@ TEST_F(EventEngineTest, MalformedFrameGetsServiceIdenticalErrorReply) {
   ASSERT_TRUE(decoded.ok());
   const auto* error = std::get_if<net::ErrorReply>(&*decoded);
   ASSERT_NE(error, nullptr);
-  EXPECT_EQ(engine.metrics().decode_errors, 1u);
+  EXPECT_EQ(Count(registry, "engine.decode_errors"), 1u);
 }
 
 TEST_F(EventEngineTest, ConcurrentPortsAllCompleteAndMatchDirectPath) {
@@ -372,7 +379,9 @@ TEST_F(EventEngineTest, ConcurrentPortsAllCompleteAndMatchDirectPath) {
 TEST_F(EventEngineTest, RunQueueOverflowShedsWithResourceExhausted) {
   service::ServiceEngine service(server_.get());
   InProcessEventTransport transport;
+  telemetry::MetricRegistry registry;
   EventEngineOptions options;
+  options.registry = &registry;
   options.worker_threads = 1;
   options.max_run_queue = 1;
   EventEngine engine(&service, &transport, options);
@@ -411,18 +420,20 @@ TEST_F(EventEngineTest, RunQueueOverflowShedsWithResourceExhausted) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(completed.load() + shed.load(), kClients);
   EXPECT_GE(completed.load(), 1u);
-  const EventEngineMetrics metrics = engine.metrics();
   // Every shed client saw at least one rejected frame; a session's cleanup
   // close can be rejected too (it retries), so rejections may exceed the
   // shed-client count.
-  EXPECT_GE(metrics.rejected, shed.load());
-  EXPECT_EQ(metrics.replies, metrics.frames);
+  EXPECT_GE(Count(registry, "engine.rejected"), shed.load());
+  EXPECT_EQ(Count(registry, "engine.replies"),
+            Count(registry, "engine.frames"));
 }
 
 TEST_F(EventEngineTest, FramePolledAndAnsweredOnOneWorker) {
   service::ServiceEngine service(server_.get());
   ThreadRecordingTransport transport;
+  telemetry::MetricRegistry registry;
   EventEngineOptions options;
+  options.registry = &registry;
   options.worker_threads = 2;
   EventEngine engine(&service, &transport, options);
 
@@ -438,7 +449,7 @@ TEST_F(EventEngineTest, FramePolledAndAnsweredOnOneWorker) {
   // polled it: no hand-off inside the engine.
   const auto [replies, crossed] = transport.replies_and_crossed();
   EXPECT_GE(replies, 3u);  // open + pulls + close
-  EXPECT_EQ(replies, engine.metrics().replies);
+  EXPECT_EQ(replies, Count(registry, "engine.replies"));
   EXPECT_EQ(crossed, 0u);
 }
 
@@ -449,7 +460,9 @@ TEST_F(EventEngineTest, ArrivalPastTheBoundIsShedAtOnce) {
   LatchedBackend backend(server_.get(), &entered, &latch);
   service::ServiceEngine service(&backend);
   InProcessEventTransport transport;
+  telemetry::MetricRegistry registry;
   EventEngineOptions options;
+  options.registry = &registry;
   options.worker_threads = 1;
   options.max_run_queue = 1;
   EventEngine engine(&service, &transport, options);
@@ -490,7 +503,7 @@ TEST_F(EventEngineTest, ArrivalPastTheBoundIsShedAtOnce) {
   ASSERT_NE(error, nullptr);
   EXPECT_EQ(error->code, StatusCode::kResourceExhausted);
   EXPECT_EQ(error->session_id, 0u);
-  EXPECT_EQ(engine.metrics().rejected, 1u);
+  EXPECT_EQ(Count(registry, "engine.rejected"), 1u);
 
   latch.Open();
   auto b_reply = transport.AwaitReply(conn_b);
@@ -505,7 +518,7 @@ TEST_F(EventEngineTest, ArrivalPastTheBoundIsShedAtOnce) {
   auto expected = service::RemoteQuery(&reference, q, anchor, params);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(a_digest, eval::DigestOf(*expected));
-  EXPECT_EQ(engine.metrics().rejected, 1u);
+  EXPECT_EQ(Count(registry, "engine.rejected"), 1u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "net/wire.h"
 #include "server/lbs_server.h"
 #include "service/service_engine.h"
+#include "telemetry/registry.h"
 
 namespace spacetwist::eval {
 namespace {
@@ -71,7 +72,10 @@ class LoadGeneratorTest : public ::testing::Test {
 };
 
 TEST_F(LoadGeneratorTest, ReportAccountsForEveryQuery) {
-  service::ServiceEngine engine(server_.get());
+  telemetry::MetricRegistry registry;
+  service::ServiceOptions engine_options;
+  engine_options.registry = &registry;
+  service::ServiceEngine engine(server_.get(), engine_options);
   LoadOptions options;
   options.worker_threads = 2;
   auto report = RunLoad(&engine, Closed(6, 3), options);
@@ -91,7 +95,8 @@ TEST_F(LoadGeneratorTest, ReportAccountsForEveryQuery) {
   EXPECT_EQ(report->queue_delay.count, 0u);
   // Closed loop closes every session it opens.
   EXPECT_EQ(engine.open_sessions(), 0u);
-  EXPECT_EQ(engine.metrics().sessions_opened, 18u);
+  EXPECT_EQ(registry.GetCounter("service.engine.sessions_opened")->value(),
+            18u);
 }
 
 TEST_F(LoadGeneratorTest, DigestsMatchReferenceAcrossThreadCounts) {

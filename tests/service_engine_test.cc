@@ -16,6 +16,8 @@
 #include "core/spacetwist_client.h"
 #include "datasets/generator.h"
 #include "eval/load_generator.h"
+#include "net/channel.h"
+#include "net/packet.h"
 #include "net/wire.h"
 #include "server/inn_backend.h"
 #include "server/lbs_server.h"
@@ -23,6 +25,7 @@
 #include "service/thread_pool.h"
 #include "service/wire_client.h"
 #include "telemetry/clock.h"
+#include "telemetry/registry.h"
 
 namespace spacetwist::service {
 namespace {
@@ -50,6 +53,56 @@ net::Response Decode(const std::vector<uint8_t>& frame) {
                        : net::Response(net::ErrorReply{});
 }
 
+/// One request through the engine's wire entry point, its reply decoded.
+net::Response Send(ServiceEngine* engine, const net::Request& request) {
+  return Decode(engine->HandleFrame(net::EncodeRequest(request)));
+}
+
+/// The status a reply carries: OK unless it is an ErrorReply.
+Status StatusOf(const net::Response& response) {
+  const auto* error = std::get_if<net::ErrorReply>(&response);
+  return error == nullptr ? Status::OK() : net::ToStatus(*error);
+}
+
+net::OpenRequest OpenOf(const geom::Point& anchor, double epsilon, size_t k) {
+  net::OpenRequest open;
+  open.anchor = anchor;
+  open.epsilon = epsilon;
+  open.k = k;
+  return open;
+}
+
+/// Opens a session over the wire; its id, or 0 when the Open failed.
+uint64_t OpenSession(ServiceEngine* engine, const geom::Point& anchor,
+                     double epsilon, size_t k) {
+  const net::Response response = Send(engine, OpenOf(anchor, epsilon, k));
+  const auto* opened = std::get_if<net::OpenOk>(&response);
+  EXPECT_NE(opened, nullptr) << StatusOf(response).ToString();
+  return opened != nullptr ? opened->session_id : 0;
+}
+
+/// The first `n` packets of the library stream for (anchor, epsilon, k):
+/// what the engine must serve, packet 0 on the OpenOk.
+std::vector<net::Packet> LibraryPackets(server::InnBackend* backend,
+                                        const geom::Point& anchor,
+                                        double epsilon, size_t k, size_t n) {
+  std::unique_ptr<server::InnSource> stream =
+      backend->OpenInnSource(anchor, epsilon, k, server::GranularOptions());
+  net::PacketChannel channel(stream.get(), net::PacketConfig());
+  std::vector<net::Packet> packets;
+  for (size_t i = 0; i < n; ++i) {
+    Result<net::Packet> packet = channel.NextPacket();
+    EXPECT_TRUE(packet.ok()) << packet.status().ToString();
+    if (!packet.ok()) break;
+    packets.push_back(packet.MoveValueOrDie());
+  }
+  return packets;
+}
+
+uint64_t Count(telemetry::MetricRegistry& registry, std::string_view name) {
+  return registry.GetCounter(name)->value();
+}
+
 bool HasSpan(const std::vector<telemetry::SpanRecord>& spans,
              std::string_view name) {
   for (const telemetry::SpanRecord& span : spans) {
@@ -68,166 +121,163 @@ class ServiceEngineTest : public ::testing::Test {
                   .MoveValueOrDie();
   }
 
+  /// Engine options counting into this test's own registry.
+  ServiceOptions Options() {
+    ServiceOptions options;
+    options.registry = &registry_;
+    return options;
+  }
+
+  uint64_t Count(std::string_view name) {
+    return service::Count(registry_, name);
+  }
+
   datasets::Dataset dataset_;
   std::unique_ptr<server::LbsServer> server_;
+  telemetry::MetricRegistry registry_;
 };
 
-TEST_F(ServiceEngineTest, OpenPullCloseTypedApi) {
-  ServiceEngine engine(server_.get());
-  auto id = engine.Open({5000, 5000}, 0.0, 1);
-  ASSERT_TRUE(id.ok());
+TEST_F(ServiceEngineTest, OpenPullCloseOverTheWire) {
+  ServiceEngine engine(server_.get(), Options());
+  const net::Response open = Send(&engine, OpenOf({5000, 5000}, 0.0, 1));
+  const auto* opened = std::get_if<net::OpenOk>(&open);
+  ASSERT_NE(opened, nullptr);
+  EXPECT_EQ(opened->packet.size(), 67u);
   EXPECT_EQ(engine.open_sessions(), 1u);
 
-  auto packet = engine.Pull(*id);
-  ASSERT_TRUE(packet.ok());
-  EXPECT_EQ(packet->size(), 67u);
   double prev = -1;
-  for (int i = 0; i < 3; ++i) {
-    auto next = engine.Pull(*id);
-    ASSERT_TRUE(next.ok());
-    for (const rtree::DataPoint& p : next->points) {
+  for (uint64_t seq = 1; seq <= 3; ++seq) {
+    const net::Response response =
+        Send(&engine, net::PullRequest{opened->session_id, seq});
+    const auto* reply = std::get_if<net::PacketReply>(&response);
+    ASSERT_NE(reply, nullptr) << StatusOf(response).ToString();
+    EXPECT_EQ(reply->seq, seq);
+    for (const rtree::DataPoint& p : reply->packet.points) {
       const double d = geom::Distance({5000, 5000}, p.point);
       EXPECT_GE(d, prev - 1e-9);
       prev = d;
     }
   }
-  auto stats = engine.SessionStats(*id);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->downlink_packets, 4u);
+  // A live session's transport is counted when it retires, not before.
+  EXPECT_EQ(Count("net.channel.downlink_packets"), 0u);
 
-  EXPECT_TRUE(engine.Close(*id).ok());
+  const net::Response close =
+      Send(&engine, net::CloseRequest{opened->session_id});
+  EXPECT_NE(std::get_if<net::CloseOk>(&close), nullptr);
   EXPECT_EQ(engine.open_sessions(), 0u);
-  const EngineMetrics metrics = engine.metrics();
-  EXPECT_EQ(metrics.sessions_opened, 1u);
-  EXPECT_EQ(metrics.sessions_closed, 1u);
-  EXPECT_EQ(metrics.transport.downlink_packets, 4u);
-  EXPECT_EQ(metrics.transport.downlink_points, 4u * 67u);
+  EXPECT_EQ(Count("service.engine.sessions_opened"), 1u);
+  EXPECT_EQ(Count("service.engine.sessions_closed"), 1u);
+  EXPECT_EQ(Count("net.channel.downlink_packets"), 4u);
+  EXPECT_EQ(Count("net.channel.downlink_points"), 4u * 67u);
+  EXPECT_EQ(registry_.GetGauge("service.engine.open_sessions")->value(), 0);
 }
 
 TEST_F(ServiceEngineTest, UnknownAndClosedSessionsAreNotFound) {
   ServiceEngine engine(server_.get());
-  EXPECT_TRUE(engine.Pull(12345).status().IsNotFound());
-  EXPECT_TRUE(engine.SessionStats(12345).status().IsNotFound());
-  auto id = engine.Open({1, 1}, 0.0, 1);
-  ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(engine.Close(*id).ok());
-  EXPECT_TRUE(engine.Close(*id).IsNotFound());
-  EXPECT_TRUE(engine.Pull(*id).status().IsNotFound());
+  EXPECT_TRUE(StatusOf(Send(&engine, net::PullRequest{12345})).IsNotFound());
+  EXPECT_TRUE(StatusOf(Send(&engine, net::CloseRequest{12345})).IsNotFound());
+  const uint64_t id = OpenSession(&engine, {1, 1}, 0.0, 1);
+  ASSERT_TRUE(StatusOf(Send(&engine, net::CloseRequest{id})).ok());
+  EXPECT_TRUE(StatusOf(Send(&engine, net::CloseRequest{id})).IsNotFound());
+  EXPECT_TRUE(StatusOf(Send(&engine, net::PullRequest{id, 1})).IsNotFound());
 }
 
 TEST_F(ServiceEngineTest, RejectsBadParameters) {
   ServiceEngine engine(server_.get());
-  EXPECT_TRUE(engine.Open({1, 1}, 0.0, 0).status().IsInvalidArgument());
-  EXPECT_TRUE(engine.Open({1, 1}, -1.0, 1).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      StatusOf(Send(&engine, OpenOf({1, 1}, 0.0, 0))).IsInvalidArgument());
+  EXPECT_TRUE(
+      StatusOf(Send(&engine, OpenOf({1, 1}, -1.0, 1))).IsInvalidArgument());
 }
 
 TEST_F(ServiceEngineTest, SessionCapGivesResourceExhausted) {
-  ServiceOptions options;
+  ServiceOptions options = Options();
   options.max_sessions = 2;
   ServiceEngine engine(server_.get(), options);
-  auto a = engine.Open({1, 1}, 0, 1);
-  auto b = engine.Open({2, 2}, 0, 1);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(engine.Open({3, 3}, 0, 1).status().IsResourceExhausted());
-  EXPECT_EQ(engine.metrics().sessions_rejected, 1u);
-  ASSERT_TRUE(engine.Close(*a).ok());
-  EXPECT_TRUE(engine.Open({3, 3}, 0, 1).ok());
+  const uint64_t a = OpenSession(&engine, {1, 1}, 0, 1);
+  OpenSession(&engine, {2, 2}, 0, 1);
+  EXPECT_TRUE(
+      StatusOf(Send(&engine, OpenOf({3, 3}, 0, 1))).IsResourceExhausted());
+  EXPECT_EQ(Count("service.engine.sessions_rejected"), 1u);
+  ASSERT_TRUE(StatusOf(Send(&engine, net::CloseRequest{a})).ok());
+  EXPECT_TRUE(StatusOf(Send(&engine, OpenOf({3, 3}, 0, 1))).ok());
 }
 
 TEST_F(ServiceEngineTest, IdleSessionsAreEvictedByTtl) {
   telemetry::VirtualClock fake_now;
-  ServiceOptions options;
+  ServiceOptions options = Options();
   options.idle_ttl_ns = 1000;
   options.clock = &fake_now;
   ServiceEngine engine(server_.get(), options);
 
-  auto stale = engine.Open({1000, 1000}, 0.0, 1);
-  ASSERT_TRUE(stale.ok());
-  ASSERT_TRUE(engine.Pull(*stale).ok());
+  const uint64_t stale = OpenSession(&engine, {1000, 1000}, 0.0, 1);
   fake_now.Set(900);
-  auto fresh = engine.Open({9000, 9000}, 0.0, 1);
-  ASSERT_TRUE(fresh.ok());
-  ASSERT_TRUE(engine.Pull(*fresh).ok());
+  const uint64_t fresh = OpenSession(&engine, {9000, 9000}, 0.0, 1);
 
   fake_now.Set(1500);  // stale idle 1500ns > ttl; fresh idle 600ns
   EXPECT_EQ(engine.EvictIdle(), 1u);
   EXPECT_EQ(engine.open_sessions(), 1u);
-  EXPECT_TRUE(engine.Pull(*stale).status().IsNotFound());
-  EXPECT_TRUE(engine.Pull(*fresh).ok());
+  EXPECT_TRUE(
+      StatusOf(Send(&engine, net::PullRequest{stale, 1})).IsNotFound());
+  EXPECT_TRUE(StatusOf(Send(&engine, net::PullRequest{fresh, 1})).ok());
 
-  const EngineMetrics metrics = engine.metrics();
-  EXPECT_EQ(metrics.sessions_evicted, 1u);
-  // The abandoned session's packet still landed in the absorbed totals.
-  EXPECT_EQ(metrics.transport.downlink_packets, 1u);
+  EXPECT_EQ(Count("service.engine.sessions_evicted"), 1u);
+  EXPECT_EQ(registry_.GetGauge("service.engine.open_sessions")->value(), 1);
+  // The abandoned session's packet 0 still landed in the transport counts.
+  EXPECT_EQ(Count("net.channel.downlink_packets"), 1u);
 }
 
 TEST_F(ServiceEngineTest, OpenPathSweepsExpiredSessionsToMakeRoom) {
   telemetry::VirtualClock fake_now;
-  ServiceOptions options;
+  ServiceOptions options = Options();
   options.max_sessions = 1;
   options.idle_ttl_ns = 1000;
   options.clock = &fake_now;
   ServiceEngine engine(server_.get(), options);
 
-  auto abandoned = engine.Open({1000, 1000}, 0.0, 1);
-  ASSERT_TRUE(abandoned.ok());
+  OpenSession(&engine, {1000, 1000}, 0.0, 1);  // then abandoned
   // At capacity and not yet expired: backpressure.
-  EXPECT_TRUE(engine.Open({2, 2}, 0, 1).status().IsResourceExhausted());
+  EXPECT_TRUE(
+      StatusOf(Send(&engine, OpenOf({2, 2}, 0, 1))).IsResourceExhausted());
   fake_now.Set(5000);
   // Now expired: Open reclaims the slot instead of rejecting.
-  auto id = engine.Open({2, 2}, 0, 1);
-  ASSERT_TRUE(id.ok());
+  EXPECT_TRUE(StatusOf(Send(&engine, OpenOf({2, 2}, 0, 1))).ok());
   EXPECT_EQ(engine.open_sessions(), 1u);
-  EXPECT_EQ(engine.metrics().sessions_evicted, 1u);
+  EXPECT_EQ(Count("service.engine.sessions_evicted"), 1u);
 }
 
-TEST_F(ServiceEngineTest, WireFlowMatchesTypedApi) {
-  ServiceEngine engine(server_.get());
-  ServiceEngine typed(server_.get());
-  auto typed_id = typed.Open({5000, 5000}, 0.0, 1);
-  ASSERT_TRUE(typed_id.ok());
+TEST_F(ServiceEngineTest, WireFlowMatchesLibraryStream) {
+  ServiceEngine engine(server_.get(), Options());
+  const std::vector<net::Packet> library =
+      LibraryPackets(server_.get(), {5000, 5000}, 0.0, 1, 2);
+  ASSERT_EQ(library.size(), 2u);
 
-  net::OpenRequest open;
-  open.anchor = {5000, 5000};
-  open.epsilon = 0.0;
-  open.k = 1;
-  auto open_reply = net::DecodeResponse(
-      engine.HandleFrame(net::EncodeRequest(open)));
-  ASSERT_TRUE(open_reply.ok());
-  auto* opened = std::get_if<net::OpenOk>(&*open_reply);
+  const net::Response open_reply = Send(&engine, OpenOf({5000, 5000}, 0.0, 1));
+  const auto* opened = std::get_if<net::OpenOk>(&open_reply);
   ASSERT_NE(opened, nullptr);
-  // The OpenOk carries packet 0: the typed API's first pull.
-  auto typed_first = typed.Pull(*typed_id);
-  ASSERT_TRUE(typed_first.ok());
+  // The OpenOk carries packet 0: the library stream's first packet.
   EXPECT_EQ(opened->packet.size(), 67u);
-  EXPECT_EQ(opened->packet.points, typed_first->points);
+  EXPECT_EQ(opened->packet.points, library[0].points);
 
   // So the wire's first pull asks for seq 1.
-  auto pull_reply = net::DecodeResponse(
-      engine.HandleFrame(net::EncodeRequest(
-          net::PullRequest{opened->session_id, /*seq=*/1})));
-  ASSERT_TRUE(pull_reply.ok());
-  auto* packet = std::get_if<net::PacketReply>(&*pull_reply);
+  const net::Response pull_reply =
+      Send(&engine, net::PullRequest{opened->session_id, /*seq=*/1});
+  const auto* packet = std::get_if<net::PacketReply>(&pull_reply);
   ASSERT_NE(packet, nullptr);
-  auto typed_second = typed.Pull(*typed_id);
-  ASSERT_TRUE(typed_second.ok());
   EXPECT_EQ(packet->seq, 1u);
-  EXPECT_EQ(packet->packet.points, typed_second->points);
+  EXPECT_EQ(packet->packet.points, library[1].points);
 
-  auto close_reply = net::DecodeResponse(
-      engine.HandleFrame(net::EncodeRequest(
-          net::CloseRequest{opened->session_id})));
-  ASSERT_TRUE(close_reply.ok());
-  EXPECT_NE(std::get_if<net::CloseOk>(&*close_reply), nullptr);
+  const net::Response close_reply =
+      Send(&engine, net::CloseRequest{opened->session_id});
+  EXPECT_NE(std::get_if<net::CloseOk>(&close_reply), nullptr);
   EXPECT_EQ(engine.open_sessions(), 0u);
 
-  const EngineMetrics metrics = engine.metrics();
-  EXPECT_EQ(metrics.open_requests, 1u);
-  EXPECT_EQ(metrics.pull_requests, 1u);  // the Open's packet 0 is no pull
-  EXPECT_EQ(metrics.pulls_replayed, 0u);
-  EXPECT_EQ(metrics.close_requests, 1u);
-  EXPECT_EQ(metrics.sessions_opened, 1u);
+  EXPECT_EQ(Count("service.engine.open_requests"), 1u);
+  // The Open's packet 0 is no pull.
+  EXPECT_EQ(Count("service.engine.pull_requests"), 1u);
+  EXPECT_EQ(Count("service.engine.pulls_replayed"), 0u);
+  EXPECT_EQ(Count("service.engine.close_requests"), 1u);
+  EXPECT_EQ(Count("service.engine.sessions_opened"), 1u);
 }
 
 // The repeat rule (docs/SERVICE.md §2): a repeat of a live session's Open
@@ -235,7 +285,7 @@ TEST_F(ServiceEngineTest, WireFlowMatchesTypedApi) {
 // past packet 0 it is a stale duplicate; any other request, or the same
 // one after the session closed, opens a new session.
 TEST_F(ServiceEngineTest, RepeatedOpenGetsTheSessionItOpened) {
-  ServiceOptions options;
+  ServiceOptions options = Options();
   options.max_sessions = 1;
   ServiceEngine engine(server_.get(), options);
 
@@ -277,24 +327,24 @@ TEST_F(ServiceEngineTest, RepeatedOpenGetsTheSessionItOpened) {
   EXPECT_EQ(error->session_id, opened->session_id);
 
   // A closed session's Open is not live any more: it opens afresh.
-  ASSERT_TRUE(engine.Close(opened->session_id).ok());
+  ASSERT_TRUE(
+      StatusOf(Send(&engine, net::CloseRequest{opened->session_id})).ok());
   response = Decode(engine.HandleFrame(frame));
   const auto* reopened = std::get_if<net::OpenOk>(&response);
   ASSERT_NE(reopened, nullptr);
   EXPECT_NE(reopened->session_id, opened->session_id);
   EXPECT_EQ(reopened->packet.points, opened->packet.points);
 
-  const EngineMetrics metrics = engine.metrics();
-  EXPECT_EQ(metrics.open_requests, 5u);
-  EXPECT_EQ(metrics.sessions_opened, 2u);
-  EXPECT_EQ(metrics.sessions_rejected, 1u);
-  EXPECT_EQ(metrics.pull_requests, 1u);
+  EXPECT_EQ(Count("service.engine.open_requests"), 5u);
+  EXPECT_EQ(Count("service.engine.sessions_opened"), 2u);
+  EXPECT_EQ(Count("service.engine.sessions_rejected"), 1u);
+  EXPECT_EQ(Count("service.engine.pull_requests"), 1u);
 }
 
 // A sampled Open ships its dispatch, open and first-scan spans on the
 // OpenOk; its repeat ships a server.replay event instead of a scan.
 TEST_F(ServiceEngineTest, SampledOpenShipsItsSpansOnTheOpenOk) {
-  ServiceEngine engine(server_.get());
+  ServiceEngine engine(server_.get(), Options());
   net::OpenRequest open;
   open.anchor = {2500, 7500};
   open.k = 2;
@@ -318,7 +368,7 @@ TEST_F(ServiceEngineTest, SampledOpenShipsItsSpansOnTheOpenOk) {
   EXPECT_EQ(replayed->packet.points, opened->packet.points);
   EXPECT_TRUE(HasSpan(replayed->server_spans, "server.replay"));
   EXPECT_FALSE(HasSpan(replayed->server_spans, "server.granular.scan"));
-  EXPECT_EQ(engine.metrics().sessions_opened, 1u);
+  EXPECT_EQ(Count("service.engine.sessions_opened"), 1u);
 }
 
 /// A backend whose streams end their first pull with `status` at once
@@ -351,7 +401,10 @@ class FirstPullBackend : public server::InnBackend {
 
 TEST(ServiceEngineFirstPullTest, DryStreamOpensWithAnEmptyPacket) {
   FirstPullBackend dry(Status::Exhausted("no points"));
-  ServiceEngine engine(&dry);
+  telemetry::MetricRegistry registry;
+  ServiceOptions options;
+  options.registry = &registry;
+  ServiceEngine engine(&dry, options);
   net::OpenRequest open;
   open.nonce = 5;
   const std::vector<uint8_t> frame = net::EncodeRequest(open);
@@ -369,12 +422,14 @@ TEST(ServiceEngineFirstPullTest, DryStreamOpensWithAnEmptyPacket) {
   ASSERT_TRUE(session.ok());
   EXPECT_TRUE((*session)->NextPacket().status().IsExhausted());
   EXPECT_TRUE((*session)->Close().ok());
-  EXPECT_EQ(engine.metrics().pull_requests, 0u);
+  EXPECT_EQ(Count(registry, "service.engine.pull_requests"), 0u);
 }
 
 TEST(ServiceEngineFirstPullTest, FailedFirstPullKeepsNoSession) {
   FirstPullBackend failing(Status::IoError("page read failed"));
+  telemetry::MetricRegistry registry;
   ServiceOptions options;
+  options.registry = &registry;
   options.max_sessions = 1;
   ServiceEngine engine(&failing, options);
   for (int attempt = 0; attempt < 2; ++attempt) {
@@ -387,7 +442,7 @@ TEST(ServiceEngineFirstPullTest, FailedFirstPullKeepsNoSession) {
     EXPECT_EQ(error->session_id, 0u);
   }
   EXPECT_EQ(engine.open_sessions(), 0u);
-  EXPECT_EQ(engine.metrics().sessions_opened, 0u);
+  EXPECT_EQ(Count(registry, "service.engine.sessions_opened"), 0u);
 }
 
 TEST_F(ServiceEngineTest, WireErrorsCarryTheStatusCode) {
@@ -404,7 +459,7 @@ TEST_F(ServiceEngineTest, WireErrorsCarryTheStatusCode) {
   EXPECT_TRUE(net::ToStatus(*error).IsNotFound());
 
   // Cap hit -> kResourceExhausted over the wire.
-  ASSERT_TRUE(engine.Open({1, 1}, 0, 1).ok());
+  OpenSession(&engine, {1, 1}, 0, 1);
   net::OpenRequest open;
   open.anchor = {2, 2};
   reply = net::DecodeResponse(
@@ -467,7 +522,7 @@ TEST_F(ServiceEngineTest, NonFiniteOpenParametersAreInvalidArgument) {
 }
 
 TEST_F(ServiceEngineTest, MalformedFramesGetErrorRepliesNotCrashes) {
-  ServiceEngine engine(server_.get());
+  ServiceEngine engine(server_.get(), Options());
   const std::vector<std::vector<uint8_t>> bad = {
       {},                          // empty
       {1, 2, 3},                   // shorter than a header
@@ -481,7 +536,7 @@ TEST_F(ServiceEngineTest, MalformedFramesGetErrorRepliesNotCrashes) {
     ASSERT_TRUE(reply.ok());
     EXPECT_NE(std::get_if<net::ErrorReply>(&*reply), nullptr);
   }
-  EXPECT_EQ(engine.metrics().decode_errors, bad.size());
+  EXPECT_EQ(Count("service.engine.decode_errors"), bad.size());
   EXPECT_EQ(engine.open_sessions(), 0u);
 }
 
@@ -520,12 +575,15 @@ TEST_F(ServiceEngineTest, RemoteQueryMatchesDirectClientExactly) {
 }
 
 TEST_F(ServiceEngineTest, DestructorAbsorbsLiveSessions) {
-  ServiceOptions options;
-  ServiceEngine* leaky = new ServiceEngine(server_.get(), options);
-  auto id = leaky->Open({5000, 5000}, 0.0, 1);
-  ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(leaky->Pull(*id).ok());
-  delete leaky;  // must not leak the session's stream/channel (ASan-visible)
+  auto leaky = std::make_unique<ServiceEngine>(server_.get(), Options());
+  const uint64_t id = OpenSession(leaky.get(), {5000, 5000}, 0.0, 1);
+  ASSERT_TRUE(StatusOf(Send(leaky.get(), net::PullRequest{id, 1})).ok());
+  EXPECT_EQ(registry_.GetGauge("service.engine.open_sessions")->value(), 1);
+  leaky.reset();  // must not leak the session's stream/channel (ASan-visible)
+  // The retired session leaves the gauge, and its packets (packet 0 from
+  // the OpenOk and packet 1) land in the transport counts.
+  EXPECT_EQ(registry_.GetGauge("service.engine.open_sessions")->value(), 0);
+  EXPECT_EQ(Count("net.channel.downlink_packets"), 2u);
 }
 
 // The TSan target: many threads hammer one engine through the wire entry
@@ -534,7 +592,7 @@ TEST_F(ServiceEngineTest, DestructorAbsorbsLiveSessions) {
 // only the rest of the request tells their Opens apart, and every answer
 // must still be the one the library client computes for that query.
 TEST_F(ServiceEngineTest, ConcurrentWireTrafficIsRaceFree) {
-  ServiceOptions options;
+  ServiceOptions options = Options();
   options.num_shards = 4;
   options.max_sessions = 64;
   ServiceEngine engine(server_.get(), options);
@@ -570,7 +628,7 @@ TEST_F(ServiceEngineTest, ConcurrentWireTrafficIsRaceFree) {
           engine.HandleFrame(net::EncodeRequest(
               net::PullRequest{rng.Next()}));
           engine.HandleFrame({0x01, 0x02});
-          engine.metrics();
+          (void)registry_.Snapshot();
           engine.open_sessions();
         }
       });
@@ -591,19 +649,18 @@ TEST_F(ServiceEngineTest, ConcurrentWireTrafficIsRaceFree) {
     }
   }
   EXPECT_EQ(engine.open_sessions(), 0u);
-  const EngineMetrics metrics = engine.metrics();
   constexpr uint64_t kTotalQueries = uint64_t{kThreads} * kQueriesPerThread;
-  EXPECT_EQ(metrics.sessions_opened, kTotalQueries);
-  EXPECT_EQ(metrics.sessions_closed, kTotalQueries);
-  EXPECT_GT(metrics.transport.downlink_packets, 0u);
-  EXPECT_EQ(metrics.decode_errors, kTotalQueries);
+  EXPECT_EQ(Count("service.engine.sessions_opened"), kTotalQueries);
+  EXPECT_EQ(Count("service.engine.sessions_closed"), kTotalQueries);
+  EXPECT_GT(Count("net.channel.downlink_packets"), 0u);
+  EXPECT_EQ(Count("service.engine.decode_errors"), kTotalQueries);
 }
 
 // Byte-identical Opens racing on one stripe (TSan target): one session,
 // and every racer gets the same OpenOk bytes, whether it found the session
 // in the repeat index or lost the publish race and dropped its own.
 TEST_F(ServiceEngineTest, IdenticalOpensRaceToOneSession) {
-  ServiceEngine engine(server_.get());
+  ServiceEngine engine(server_.get(), Options());
   net::OpenRequest open;
   open.anchor = {4321, 6789};
   open.k = 4;
@@ -620,16 +677,15 @@ TEST_F(ServiceEngineTest, IdenticalOpensRaceToOneSession) {
   ASSERT_NE(opened, nullptr);
   EXPECT_EQ(opened->packet.size(), 67u);
   EXPECT_EQ(engine.open_sessions(), 1u);
-  const EngineMetrics metrics = engine.metrics();
-  EXPECT_EQ(metrics.open_requests, kThreads);
-  EXPECT_EQ(metrics.sessions_opened, 1u);
+  EXPECT_EQ(Count("service.engine.open_requests"), kThreads);
+  EXPECT_EQ(Count("service.engine.sessions_opened"), 1u);
 }
 
 // One nonce, eight anchors, concurrently (TSan target): a nonce alone names
 // no Open. Each request opens its own session, whose packet 0 is its own
 // anchor's.
 TEST_F(ServiceEngineTest, SameNonceDifferentAnchorsOpenDistinctSessions) {
-  ServiceEngine engine(server_.get());
+  ServiceEngine engine(server_.get(), Options());
   constexpr size_t kThreads = 8;
   std::vector<net::OpenRequest> opens(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
@@ -642,7 +698,6 @@ TEST_F(ServiceEngineTest, SameNonceDifferentAnchorsOpenDistinctSessions) {
     replies[t] = engine.HandleFrame(net::EncodeRequest(opens[t]));
   });
 
-  ServiceEngine reference(server_.get());
   std::set<uint64_t> ids;
   for (size_t t = 0; t < kThreads; ++t) {
     const net::Response response = Decode(replies[t]);
@@ -650,15 +705,14 @@ TEST_F(ServiceEngineTest, SameNonceDifferentAnchorsOpenDistinctSessions) {
     ASSERT_NE(opened, nullptr) << "thread " << t;
     EXPECT_EQ(opened->nonce, 0x5EEDu);
     ids.insert(opened->session_id);
-    auto id = reference.Open(opens[t].anchor, 0.0, 2);
-    ASSERT_TRUE(id.ok());
-    auto packet0 = reference.Pull(*id);
-    ASSERT_TRUE(packet0.ok());
-    EXPECT_EQ(opened->packet.points, packet0->points) << "thread " << t;
+    const std::vector<net::Packet> library =
+        LibraryPackets(server_.get(), opens[t].anchor, 0.0, 2, 1);
+    ASSERT_EQ(library.size(), 1u);
+    EXPECT_EQ(opened->packet.points, library[0].points) << "thread " << t;
   }
   EXPECT_EQ(ids.size(), kThreads);
   EXPECT_EQ(engine.open_sessions(), kThreads);
-  EXPECT_EQ(engine.metrics().sessions_opened, kThreads);
+  EXPECT_EQ(Count("service.engine.sessions_opened"), kThreads);
 }
 
 }  // namespace

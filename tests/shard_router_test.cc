@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/rng.h"
@@ -385,9 +386,10 @@ TEST(ShardRouterTelemetryTest, MetricsAndTraceSpans) {
 /// A live query's shard streams belong to its merged stream, so no idle
 /// TTL can take one from under it. The front session of a long exact-INN
 /// query is pulled every TTL/2, and between its pulls short queries on
-/// every shard open (sweeping idle sessions as they go), pull once and
-/// close; the long query must still stream all 4,400 points, rank for
-/// rank what one server holding the whole dataset streams.
+/// every shard open (sweeping idle sessions as they go) with their one
+/// packet on the OpenOk, and close; the long query must still stream all
+/// 4,400 points, rank for rank what one server holding the whole dataset
+/// streams.
 TEST(ShardRouterLifetimeTest, LiveQueryKeepsIdleShardStreams) {
   const datasets::Dataset dataset = TestDataset(4000, 911);
   auto single = server::LbsServer::Build(dataset).MoveValueOrDie();
@@ -408,40 +410,59 @@ TEST(ShardRouterLifetimeTest, LiveQueryKeepsIdleShardStreams) {
   reference_options.registry = &registry;
   auto expected =
       single->OpenGranularSession(anchor, 0.0, 1, reference_options);
-  const uint64_t id = front->Open(anchor, 0.0, 1).MoveValueOrDie();
+  // One request through the front engine's wire entry point.
+  const auto send = [front](const net::Request& request) {
+    return net::DecodeResponse(front->HandleFrame(net::EncodeRequest(request)))
+        .MoveValueOrDie();
+  };
+  net::OpenRequest open;
+  open.anchor = anchor;
+  open.k = 1;
+  const net::Response opened = send(open);
+  ASSERT_NE(std::get_if<net::OpenOk>(&opened), nullptr);
+  const uint64_t id = std::get<net::OpenOk>(opened).session_id;
+  net::Packet packet = std::get<net::OpenOk>(opened).packet;
   constexpr size_t kShortQueriesPerShard = 8;
   size_t rank = 0;
-  for (uint64_t seq = 0;; ++seq) {
-    clock.Advance(kTtlNs / 2);
-    Result<net::Packet> packet = front->Pull(id, seq);
-    if (!packet.ok()) {
-      ASSERT_TRUE(packet.status().IsExhausted())
-          << "pull " << seq << ": " << packet.status().ToString();
-      break;
-    }
-    for (const rtree::DataPoint& got : packet->points) {
+  for (uint64_t seq = 1;; ++seq) {
+    for (const rtree::DataPoint& got : packet.points) {
       Result<rtree::DataPoint> want = expected->Next();
       ASSERT_TRUE(want.ok()) << "rank " << rank;
       ASSERT_EQ(*want, got) << "rank " << rank;
       ++rank;
     }
+    // Each short query opens (its OpenOk carries its one packet) and
+    // closes.
     for (size_t i = 0; i < router->num_shards(); ++i) {
       const std::vector<rtree::DataPoint>& points =
           router->partitioner().partition(i).dataset.points;
       for (size_t j = 0; j < kShortQueriesPerShard; ++j) {
-        const geom::Point short_anchor =
+        net::OpenRequest short_open;
+        short_open.anchor =
             points[j * points.size() / kShortQueriesPerShard].point;
-        const uint64_t short_id =
-            front->Open(short_anchor, 200.0, 1).MoveValueOrDie();
-        ASSERT_TRUE(front->Pull(short_id, 0).ok());
-        ASSERT_TRUE(front->Close(short_id).ok());
+        short_open.epsilon = 200.0;
+        short_open.k = 1;
+        const net::Response short_opened = send(short_open);
+        ASSERT_NE(std::get_if<net::OpenOk>(&short_opened), nullptr);
+        const net::Response closed = send(
+            net::CloseRequest{std::get<net::OpenOk>(short_opened).session_id});
+        ASSERT_NE(std::get_if<net::CloseOk>(&closed), nullptr);
       }
     }
+    clock.Advance(kTtlNs / 2);
+    const net::Response pulled = send(net::PullRequest{id, seq});
+    if (const auto* error = std::get_if<net::ErrorReply>(&pulled)) {
+      ASSERT_EQ(error->code, StatusCode::kExhausted)
+          << "pull " << seq << ": " << net::ToStatus(*error).ToString();
+      break;
+    }
+    packet = std::get<net::PacketReply>(pulled).packet;
   }
   EXPECT_TRUE(expected->Next().status().IsExhausted());
   EXPECT_EQ(rank, dataset.points.size());
   EXPECT_EQ(rank, 4400u);
-  EXPECT_TRUE(front->Close(id).ok());
+  const net::Response closed = send(net::CloseRequest{id});
+  EXPECT_NE(std::get_if<net::CloseOk>(&closed), nullptr);
 }
 
 /// The eval fan-out probe: tradeoff records carry the fan-out leg when the

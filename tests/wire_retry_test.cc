@@ -4,6 +4,8 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "server/lbs_server.h"
 #include "service/service_engine.h"
 #include "service/wire_client.h"
+#include "telemetry/registry.h"
 
 namespace spacetwist::service {
 namespace {
@@ -86,7 +89,24 @@ class WireRetryTest : public ::testing::Test {
     rtree_options.concurrent_reads = true;
     server_ =
         server::LbsServer::Build(dataset_, rtree_options).MoveValueOrDie();
-    engine_ = std::make_unique<ServiceEngine>(server_.get());
+    ServiceOptions options;
+    options.registry = &registry_;
+    engine_ = std::make_unique<ServiceEngine>(server_.get(), options);
+  }
+
+  /// A service.engine.* counter of `engine_`.
+  uint64_t EngineCount(std::string_view name) {
+    return registry_.GetCounter("service.engine." + std::string(name))
+        ->value();
+  }
+
+  /// One request through `engine_`'s wire entry point, its reply decoded.
+  net::Response Send(const net::Request& request) {
+    Result<net::Response> response =
+        net::DecodeResponse(engine_->HandleFrame(net::EncodeRequest(request)));
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    return response.ok() ? response.MoveValueOrDie()
+                         : net::Response(net::ErrorReply{});
   }
 
   /// First `n` packet id-lists of a fault-free session for `anchor`.
@@ -106,6 +126,7 @@ class WireRetryTest : public ::testing::Test {
 
   datasets::Dataset dataset_;
   std::unique_ptr<server::LbsServer> server_;
+  telemetry::MetricRegistry registry_;
   std::unique_ptr<ServiceEngine> engine_;
 };
 
@@ -184,7 +205,7 @@ TEST_F(WireRetryTest, LostPullReplyIsReplayedNotSkipped) {
   }
   EXPECT_TRUE((*session)->Close().ok());
   // The retried pull was served from the engine's one-packet replay cache.
-  EXPECT_EQ(engine_->metrics().pulls_replayed, 1u);
+  EXPECT_EQ(EngineCount("pulls_replayed"), 1u);
   EXPECT_EQ((*session)->retry_stats().retries, 1u);
 }
 
@@ -218,7 +239,7 @@ TEST_F(WireRetryTest, DisconnectReopensAndResumesMidStream) {
   EXPECT_NE((*session)->session_id(), first_session);
   EXPECT_EQ((*session)->retry_stats().reopens, 1u);
   // Three server sessions: the reference run, the original, the re-open.
-  EXPECT_EQ(engine_->metrics().sessions_opened, 3u);
+  EXPECT_EQ(EngineCount("sessions_opened"), 3u);
   EXPECT_TRUE((*session)->Close().ok());
 }
 
@@ -235,7 +256,9 @@ TEST_F(WireRetryTest, ServerSideEvictionReopensAndResumes) {
   // The engine evicts the session behind the client's back (idle TTL in
   // production; a direct Close here). The next pull sees kNotFound and the
   // session must re-open and fast-forward to packet 1.
-  ASSERT_TRUE(engine_->Close((*session)->session_id()).ok());
+  const net::Response closed =
+      Send(net::CloseRequest{(*session)->session_id()});
+  ASSERT_NE(std::get_if<net::CloseOk>(&closed), nullptr);
   for (size_t i = 1; i < reference.size(); ++i) {
     auto packet = (*session)->NextPacket();
     ASSERT_TRUE(packet.ok()) << packet.status().ToString();
@@ -432,11 +455,11 @@ TEST_F(WireRetryTest, DisconnectClosesTheStrandedSession) {
     ASSERT_TRUE((*session)->NextPacket().ok());
   }
   EXPECT_EQ((*session)->retry_stats().reopens, 1u);
-  EXPECT_EQ(engine_->metrics().sessions_opened, 2u);
+  EXPECT_EQ(EngineCount("sessions_opened"), 2u);
   EXPECT_TRUE((*session)->Close().ok());
   // Both the session the disconnect stranded and the re-opened one are
   // closed: nothing is left for the idle sweep.
-  EXPECT_EQ(engine_->metrics().sessions_closed, 2u);
+  EXPECT_EQ(EngineCount("sessions_closed"), 2u);
   EXPECT_EQ(engine_->open_sessions(), 0u);
 }
 
@@ -459,7 +482,7 @@ TEST_F(WireRetryTest, CloseIsAtLeastOnce) {
   // attempt landed, so Close reports success.
   EXPECT_TRUE((*session)->Close().ok());
   EXPECT_TRUE((*session)->closed());
-  EXPECT_EQ(engine_->metrics().sessions_closed, 1u);
+  EXPECT_EQ(EngineCount("sessions_closed"), 1u);
   EXPECT_EQ(engine_->open_sessions(), 0u);
 }
 
@@ -467,8 +490,15 @@ TEST_F(WireRetryTest, GenuineRejectionsAreNotRetried) {
   ServiceOptions options;
   options.max_sessions = 1;
   ServiceEngine capped(server_.get(), options);
-  auto occupant = capped.Open(kAnchor, 0.0, 1);
-  ASSERT_TRUE(occupant.ok());
+  // The occupant's Open differs from the session's below (another anchor),
+  // so the repeat rule cannot hand the session the occupant's slot.
+  net::OpenRequest occupant;
+  occupant.anchor = {1, 1};
+  occupant.k = 1;
+  auto occupied =
+      net::DecodeResponse(capped.HandleFrame(net::EncodeRequest(occupant)));
+  ASSERT_TRUE(occupied.ok());
+  ASSERT_NE(std::get_if<net::OpenOk>(&*occupied), nullptr);
 
   ScriptedTransport transport(
       &capped, [](const std::vector<uint8_t>& frame, size_t,
@@ -519,29 +549,36 @@ TEST_F(WireRetryTest, FaultedOpensStrandNoSession) {
   EXPECT_GT(faults.reorders, 0u);
   EXPECT_GT(faults.corruptions, 0u);
   EXPECT_GT(faults.stalls, 0u);
-  EXPECT_EQ(engine_->metrics().sessions_opened, kQueries);
+  EXPECT_EQ(EngineCount("sessions_opened"), kQueries);
   EXPECT_EQ(engine_->open_sessions(), 0u);
 }
 
 TEST_F(WireRetryTest, SequencedPullReplayWindowSemantics) {
-  auto id = engine_->Open(kAnchor, 0.0, 1);
-  ASSERT_TRUE(id.ok());
-  auto first = engine_->Pull(*id, 0);
-  ASSERT_TRUE(first.ok());
-  // Replaying the served packet is idempotent and byte-identical.
-  auto replay = engine_->Pull(*id, 0);
-  ASSERT_TRUE(replay.ok());
-  EXPECT_EQ(Ids(*replay), Ids(*first));
+  net::OpenRequest open;
+  open.anchor = kAnchor;
+  open.k = 1;
+  const net::Response opened = Send(open);
+  const auto* open_ok = std::get_if<net::OpenOk>(&opened);
+  ASSERT_NE(open_ok, nullptr);
+  const uint64_t id = open_ok->session_id;
+  // The OpenOk served packet 0, so pulling seq 0 replays it: idempotent
+  // and byte-identical.
+  const net::Response replay = Send(net::PullRequest{id, 0});
+  const auto* replayed = std::get_if<net::PacketReply>(&replay);
+  ASSERT_NE(replayed, nullptr);
+  EXPECT_EQ(Ids(replayed->packet), Ids(open_ok->packet));
+  const auto status_of = [](const net::Response& response) {
+    const auto* error = std::get_if<net::ErrorReply>(&response);
+    return error == nullptr ? Status::OK() : net::ToStatus(*error);
+  };
   // Jumping past the replay window is a protocol error...
-  EXPECT_TRUE(engine_->Pull(*id, 2).status().IsInvalidArgument());
+  EXPECT_TRUE(status_of(Send(net::PullRequest{id, 2})).IsInvalidArgument());
   // ...and so is reaching behind it.
-  auto second = engine_->Pull(*id, 1);
-  ASSERT_TRUE(second.ok());
-  auto third = engine_->Pull(*id, 2);
-  ASSERT_TRUE(third.ok());
-  EXPECT_TRUE(engine_->Pull(*id, 0).status().IsInvalidArgument());
-  EXPECT_TRUE(engine_->Close(*id).ok());
-  EXPECT_EQ(engine_->metrics().pulls_replayed, 1u);
+  ASSERT_TRUE(status_of(Send(net::PullRequest{id, 1})).ok());
+  ASSERT_TRUE(status_of(Send(net::PullRequest{id, 2})).ok());
+  EXPECT_TRUE(status_of(Send(net::PullRequest{id, 0})).IsInvalidArgument());
+  EXPECT_TRUE(status_of(Send(net::CloseRequest{id})).ok());
+  EXPECT_EQ(EngineCount("pulls_replayed"), 1u);
 }
 
 }  // namespace
