@@ -1,6 +1,7 @@
 #include "geom/grid.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -32,7 +33,12 @@ int64_t Grid::CountCellsOverlapping(const Rect& r) const {
   if (r.IsEmpty()) return 0;
   const GridCell lo = CellOf(r.min);
   const GridCell hi = CellOf(r.max);
-  return (hi.ix - lo.ix + 1) * (hi.iy - lo.iy + 1);
+  const int64_t nx = hi.ix - lo.ix + 1;
+  const int64_t ny = hi.iy - lo.iy + 1;
+  if (nx > 0 && ny > std::numeric_limits<int64_t>::max() / nx) {
+    return std::numeric_limits<int64_t>::max();
+  }
+  return nx * ny;
 }
 
 }  // namespace spacetwist::geom

@@ -65,8 +65,8 @@ class Grid {
                               const std::function<bool(const GridCell&)>& fn,
                               int64_t max_cells = 1 << 20) const;
 
-  /// Number of cells overlapping `r` (capped at max_cells semantics of the
-  /// iteration; exact for sane inputs).
+  /// Number of cells overlapping `r`, saturating at INT64_MAX (a tiny
+  /// extent can make a rectangle span more cells than int64 counts).
   int64_t CountCellsOverlapping(const Rect& r) const;
 
  private:

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+
+#include "serving/inn_backend.h"
 
 namespace spacetwist::memidx {
 namespace {
 
-/// Initial table capacity: 1024 slots (32 KiB) comfortably holds every cell
+/// Initial table capacity: 1024 slots (40 KiB) comfortably holds every cell
 /// a Table I-scale query touches without rehashing.
 constexpr size_t kInitialSlots = 1024;
 
@@ -15,21 +18,18 @@ constexpr size_t kInitialSlots = 1024;
 
 MemCellFilter::MemCellFilter(const geom::Point& anchor, double epsilon,
                              size_t k, bool lazy_eviction,
-                             int64_t max_coverage_cells,
                              telemetry::Counter* visited,
                              telemetry::Counter* evicted)
     : anchor_(anchor), k_(k), lazy_eviction_(lazy_eviction),
-      max_coverage_cells_(max_coverage_cells), visited_metric_(visited),
-      evicted_metric_(evicted) {
+      visited_metric_(visited), evicted_metric_(evicted) {
   if (epsilon > 0.0) {
     // Lemma 2: cell extent lambda = epsilon / sqrt(2) guarantees the
     // epsilon-relaxed result. Same expression as the oracle so CellOf
     // assigns identical cells.
     grid_.emplace(epsilon / std::sqrt(2.0));
-    inv_extent_ = 1.0 / grid_->cell_extent();
     slots_.resize(kInitialSlots);
-    // A query creates a few hundred cells; one up-front block spares
-    // CreateSlot the vector's reallocation ladder.
+    // A query pushes into a few hundred cells; one up-front block spares
+    // GrowRecord the vector's reallocation ladder.
     kbest_pool_.reserve(kInitialSlots * std::min<size_t>(k_, 4));
   }
 }
@@ -56,12 +56,20 @@ MemCellFilter::Slot* MemCellFilter::CreateSlot(const geom::GridCell& cell) {
       slot.state = 1;
       slot.admitted = 0;
       slot.pushed = 0;
-      slot.kbest = static_cast<uint32_t>(kbest_pool_.size());
-      kbest_pool_.resize(kbest_pool_.size() + k_);
       return &slot;
     }
     i = (i + 1) & mask;
   }
+}
+
+void MemCellFilter::GrowRecord(Slot* s) {
+  const size_t capacity =
+      std::min<size_t>(k_, std::max<size_t>(1, size_t{2} * s->pushed));
+  const size_t at = kbest_pool_.size();
+  kbest_pool_.resize(at + capacity);
+  std::copy_n(kbest_pool_.begin() + s->kbest, s->pushed,
+              kbest_pool_.begin() + static_cast<ptrdiff_t>(at));
+  s->kbest = static_cast<uint32_t>(at);
 }
 
 void MemCellFilter::Grow() {
@@ -86,12 +94,8 @@ void MemCellFilter::ReserveSlots(size_t n) {
 
 bool MemCellFilter::BeginLeafScan(const geom::Rect& mbr, LeafScanPlan* plan) {
   if (!grid_.has_value()) return false;
-  // The MBR corners are parent-recorded float32 values, so CellIndexOf
-  // classifies them exactly (and divide-free).
-  const geom::GridCell lo{CellIndexOf(static_cast<float>(mbr.min.x)),
-                          CellIndexOf(static_cast<float>(mbr.min.y))};
-  const geom::GridCell hi{CellIndexOf(static_cast<float>(mbr.max.x)),
-                          CellIndexOf(static_cast<float>(mbr.max.y))};
+  const geom::GridCell lo = grid_->CellOf(mbr.min);
+  const geom::GridCell hi = grid_->CellOf(mbr.max);
   const int64_t nx = hi.ix - lo.ix + 1;
   const int64_t ny = hi.iy - lo.iy + 1;
   if (nx <= 0 || ny <= 0 || nx > kMaxLeafScanCells ||
@@ -127,35 +131,15 @@ bool MemCellFilter::BeginLeafScan(const geom::Rect& mbr, LeafScanPlan* plan) {
   return true;
 }
 
-float MemCellFilter::BoundaryThreshold(int64_t c) {
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  if (!boundary_base_set_) {
-    boundary_base_set_ = true;
-    boundary_base_ = c;
-    boundary_cache_.assign(1, nan);
-  } else if (c < boundary_base_) {
-    boundary_cache_.insert(boundary_cache_.begin(),
-                           static_cast<size_t>(boundary_base_ - c), nan);
-    boundary_base_ = c;
-  } else if (c - boundary_base_ >=
-             static_cast<int64_t>(boundary_cache_.size())) {
-    boundary_cache_.resize(static_cast<size_t>(c - boundary_base_) + 1, nan);
-  }
-  float& v = boundary_cache_[static_cast<size_t>(c - boundary_base_)];
-  if (std::isnan(v)) v = ComputeBoundaryThreshold(c);
-  return v;
-}
-
-float MemCellFilter::ComputeBoundaryThreshold(int64_t c) const {
+float MemCellFilter::BoundaryThreshold(int64_t c) const {
   // nextafter refinement around float(c * extent): descend below the
   // boundary, then ascend to the first float32 on or past it. Soundness
-  // needs only that x -> floor(x / extent) is monotone; the starting guess
-  // is within a few ulps, so each loop runs O(1) steps.
-  const double extent = grid_->cell_extent();
-  const auto cell_of = [extent](float x) {
-    return static_cast<int64_t>(std::floor(static_cast<double>(x) / extent));
+  // needs only that Grid::CellOf is monotone in x; the starting guess is
+  // within a few ulps, so each loop runs O(1) steps.
+  const auto cell_of = [this](float x) {
+    return grid_->CellOf(geom::Point{x, 0.0}).ix;
   };
-  float t = static_cast<float>(static_cast<double>(c) * extent);
+  float t = static_cast<float>(static_cast<double>(c) * grid_->cell_extent());
   while (cell_of(t) >= c) {
     t = std::nextafterf(t, -std::numeric_limits<float>::infinity());
   }
@@ -195,10 +179,7 @@ void MemCellFilter::EvictUpToSlow(double frontier) {
 
 bool MemCellFilter::AdmitPoint(const geom::Point& p) {
   if (!grid_.has_value()) return true;
-  // Reported points carry float32-quantized coordinates, so the divide-free
-  // classification is exact here too.
-  Slot* s = FindOrCreate(geom::GridCell{CellIndexOf(static_cast<float>(p.x)),
-                                        CellIndexOf(static_cast<float>(p.y))});
+  Slot* s = FindOrCreate(grid_->CellOf(p));
   if (s->admitted >= k_) return false;  // cell already reported k points
   if (s->admitted == 0) {
     ++live_cells_;
@@ -211,26 +192,23 @@ bool MemCellFilter::AdmitPoint(const geom::Point& p) {
   return true;
 }
 
-bool MemCellFilter::CoveredByFullCells(const geom::Rect& mbr) {
+bool MemCellFilter::CoveredByFullCells(const geom::Rect& mbr) const {
   if (!grid_.has_value() || live_cells_ == 0) return false;
   // Hand-rolled copy of CountCellsOverlapping + ForEachCellOverlapping
   // (identical verdicts, no std::function per cell): false when the
-  // rectangle overlaps more cells than are live (the oracle's cheap
-  // short-circuit), more cells than max_coverage_cells_ (the conservative
-  // "cannot decide" cap), or any overlapped cell has reported fewer than k.
+  // rectangle overlaps more cells than serving::kMaxCoverageCells (the
+  // conservative "cannot decide" cap), more cells than are live (the
+  // oracle's cheap short-circuit), or any overlapped cell has reported fewer
+  // than k. The per-axis cap goes first so the product cannot overflow.
   if (mbr.IsEmpty()) return true;
-  // Branch MBRs are float32 on the wire (BranchRecord), so the corners are
-  // float32-exact and CellIndexOf applies.
-  const geom::GridCell lo{CellIndexOf(static_cast<float>(mbr.min.x)),
-                          CellIndexOf(static_cast<float>(mbr.min.y))};
-  const geom::GridCell hi{CellIndexOf(static_cast<float>(mbr.max.x)),
-                          CellIndexOf(static_cast<float>(mbr.max.y))};
+  const geom::GridCell lo = grid_->CellOf(mbr.min);
+  const geom::GridCell hi = grid_->CellOf(mbr.max);
   const int64_t nx = hi.ix - lo.ix + 1;
   const int64_t ny = hi.iy - lo.iy + 1;
   if (nx <= 0 || ny <= 0) return true;
-  if (nx * ny > static_cast<int64_t>(live_cells_)) return false;
-  if (nx > max_coverage_cells_ || ny > max_coverage_cells_ ||
-      nx * ny > max_coverage_cells_) {
+  if (nx > serving::kMaxCoverageCells || ny > serving::kMaxCoverageCells ||
+      nx * ny > serving::kMaxCoverageCells ||
+      nx * ny > static_cast<int64_t>(live_cells_)) {
     return false;
   }
   for (int64_t iy = lo.iy; iy <= hi.iy; ++iy) {

@@ -23,7 +23,7 @@ namespace spacetwist::memidx {
 /// differential suite pins the reported stream bit for bit against the
 /// paged oracle — but engineered for the per-scanned-point hot loop:
 ///
-///  * one open-addressing probe per scanned point over 32-byte slots that
+///  * one open-addressing probe per scanned point over 40-byte slots that
 ///    stay cache-resident for a whole query, where server::CellFilter pays
 ///    an unordered_map find per check;
 ///  * frontier admission control: each cell records the k smallest
@@ -34,6 +34,11 @@ namespace spacetwist::memidx {
 ///    fill the cell — so pruning shrinks the frontier from "every scanned
 ///    point in a non-full cell" to O(k) per cell without touching the
 ///    output sequence.
+///
+/// Cells come from Grid::CellOf, the oracle's own expression (a leaf-scan
+/// plan compares against its exact float32 edges), and a cell's k-best
+/// record grows with the points pushed into it, so the filter's memory
+/// follows the cells and points a query touches, never 1/epsilon or k.
 ///
 /// Relative to the oracle, heap_pops shrinks (that is the point) and the
 /// eviction tail may lag (fewer pops means EvictUpTo sees fewer
@@ -47,8 +52,7 @@ class MemCellFilter {
   /// (plain incremental NN); `visited` / `evicted` optionally mirror the
   /// per-stream totals into registry counters.
   MemCellFilter(const geom::Point& anchor, double epsilon, size_t k,
-                bool lazy_eviction, int64_t max_coverage_cells,
-                telemetry::Counter* visited = nullptr,
+                bool lazy_eviction, telemetry::Counter* visited = nullptr,
                 telemetry::Counter* evicted = nullptr);
 
   bool enabled() const { return grid_.has_value(); }
@@ -177,18 +181,21 @@ class MemCellFilter {
   /// True when `mbr` is fully covered by cells that already reported k
   /// points (Algorithm 2, Line 9). Identical decisions to the oracle's —
   /// the short-circuit compares against the same live-admitted-cell count.
-  /// Non-const only because classifying the corners warms the boundary
-  /// threshold cache.
-  bool CoveredByFullCells(const geom::Rect& mbr);
+  bool CoveredByFullCells(const geom::Rect& mbr) const;
 
   /// Introspection, same meaning as CellFilter's: cells that have admitted
   /// at least one point and were not evicted.
   size_t live_cells() const { return live_cells_; }
   size_t peak_live_cells() const { return peak_live_cells_; }
   uint64_t cells_evicted() const { return cells_evicted_; }
+  /// Heap bytes the slot table and the k-best pool have reserved.
+  size_t reserved_bytes() const {
+    return slots_.capacity() * sizeof(Slot) +
+           kbest_pool_.capacity() * sizeof(PushedPoint);
+  }
 
  private:
-  /// 32-byte open-addressing slot. A slot exists for every cell ever
+  /// 40-byte open-addressing slot. A slot exists for every cell ever
   /// probed at expansion time; `admitted > 0` marks the cells that the
   /// oracle's map would contain (coverage and eviction only ever look at
   /// those).
@@ -202,8 +209,10 @@ class MemCellFilter {
     double reject = 0.0;
     uint32_t state = 0;     ///< 0 empty, 1 occupied, 2 tombstone
     uint32_t admitted = 0;  ///< points reported from this cell, <= k
-    uint32_t pushed = 0;    ///< size of the k-best record, <= k
-    uint32_t kbest = 0;     ///< offset of this cell's record in kbest_pool_
+    uint32_t pushed = 0;    ///< entries in the k-best record, <= k
+    /// Offset of this cell's record in kbest_pool_, allocated by the first
+    /// push and moved by GrowRecord.
+    uint32_t kbest = 0;
   };
   /// One entry of a cell's k-best record: the frontier's (key, id) order,
   /// plus the point's FrontierHeap handle — record shifts copy it along, so
@@ -259,19 +268,22 @@ class MemCellFilter {
   int64_t SlowPush(Slot* s, double dist_squared, uint32_t id,
                    uint32_t fresh_handle, double* key) {
     const double d = std::sqrt(dist_squared);
-    PushedPoint* best = kbest_pool_.data() + s->kbest;
     int64_t action = kFreshAction;
     uint32_t handle = fresh_handle;
     uint32_t at = s->pushed;
     if (at == k_) {
-      const PushedPoint& kth = best[k_ - 1];
+      const PushedPoint& kth = kbest_pool_[s->kbest + k_ - 1];
       if (d > kth.key || (d == kth.key && id > kth.id)) return kRejectAction;
       handle = kth.handle;  // reuse the displaced point's heap entry
       action = static_cast<int64_t>(handle);
       at = static_cast<uint32_t>(k_) - 1;
     } else {
+      // Below k a record is full exactly when it holds 0 or a power of two
+      // entries (see GrowRecord).
+      if ((at & (at - 1)) == 0) GrowRecord(s);
       ++s->pushed;
     }
+    PushedPoint* best = kbest_pool_.data() + s->kbest;
     while (at > 0 && (best[at - 1].key > d ||
                       (best[at - 1].key == d && best[at - 1].id > id))) {
       best[at] = best[at - 1];
@@ -314,6 +326,12 @@ class MemCellFilter {
     plan->max_reject = m;
   }
 
+  /// Moves a full record below k to the pool's end with twice its capacity,
+  /// capped at k; the first push allocates one entry. A record of n entries
+  /// thus has capacity min(k, bit_ceil(n)), and since old records stay
+  /// behind as garbage, the pool holds under 4 entries per pushed point.
+  void GrowRecord(Slot* s);
+
   Slot* CreateSlot(const geom::GridCell& cell);
   /// Guarantees `n` CreateSlot calls without a Grow(), so slot indices
   /// handed out by BeginLeafScan stay valid for the whole leaf scan.
@@ -323,51 +341,21 @@ class MemCellFilter {
   void Grow();
   /// Smallest float32 coordinate that Grid::CellOf assigns to cell index
   /// >= `c` (both axes share the extent, so one function serves columns and
-  /// rows). Cached densely per boundary — a query touches a few dozen.
-  float BoundaryThreshold(int64_t c);
-  float ComputeBoundaryThreshold(int64_t c) const;
-  /// Cache-hit fast path of BoundaryThreshold; an index below the base
-  /// wraps past the size check and takes the slow path.
-  float CachedBoundary(int64_t c) {
-    const size_t i = static_cast<size_t>(c - boundary_base_);
-    if (i < boundary_cache_.size() && !std::isnan(boundary_cache_[i])) {
-      return boundary_cache_[i];
-    }
-    return BoundaryThreshold(c);
-  }
-  /// Exact Grid::CellOf index of a float32-exact coordinate, divide-free:
-  /// a reciprocal-multiply guess settled against the cached boundary
-  /// thresholds. T(c) is the smallest float32 whose column is >= c and the
-  /// column function is monotone, so the loops stop at the unique c with
-  /// T(c) <= x < T(c + 1) — exactly floor(x / extent). The guess is off by
-  /// at most a step, so each loop is O(1); hot-path callers (corner
-  /// classification in BeginLeafScan / CoveredByFullCells / AdmitPoint)
-  /// replace two IEEE divides per corner with multiplies and cached loads.
-  int64_t CellIndexOf(float x) {
-    int64_t c = static_cast<int64_t>(
-        std::floor(static_cast<double>(x) * inv_extent_));
-    while (x < CachedBoundary(c)) --c;
-    while (x >= CachedBoundary(c + 1)) ++c;
-    return c;
-  }
+  /// rows).
+  float BoundaryThreshold(int64_t c) const;
 
   geom::Point anchor_;
   size_t k_;
   bool lazy_eviction_;
-  int64_t max_coverage_cells_;
   telemetry::Counter* visited_metric_;  ///< borrowed, may be null
   telemetry::Counter* evicted_metric_;  ///< borrowed, may be null
 
   std::optional<geom::Grid> grid_;  ///< engaged iff epsilon > 0
-  double inv_extent_ = 0.0;         ///< 1 / cell_extent, CellIndexOf's guess
   std::vector<Slot> slots_;         ///< power-of-two open-addressing table
-  /// Dense BoundaryThreshold cache: entry i holds the threshold of cell
-  /// boundary boundary_base_ + i, NaN when not yet computed.
-  std::vector<float> boundary_cache_;
-  int64_t boundary_base_ = 0;
-  bool boundary_base_set_ = false;
   size_t filled_ = 0;               ///< occupied + tombstoned slots
-  std::vector<PushedPoint> kbest_pool_;  ///< k entries per created slot
+  /// The cells' k-best records, each allocated on its cell's first push
+  /// (see GrowRecord).
+  std::vector<PushedPoint> kbest_pool_;
   std::priority_queue<EvictionEntry, std::vector<EvictionEntry>,
                       EvictionGreater>
       eviction_queue_;

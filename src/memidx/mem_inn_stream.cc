@@ -50,7 +50,6 @@ FrontierInnStream<NodeStore>::FrontierInnStream(
     size_t k, const serving::GranularOptions& options)
     : store_(tree), anchor_(anchor), epsilon_(epsilon), k_(k),
       filter_(anchor, epsilon, k, options.lazy_eviction,
-              options.max_coverage_cells,
               telemetry::MetricRegistry::OrDefault(options.registry)
                   ->GetCounter("server.granular.cells_visited"),
               telemetry::MetricRegistry::OrDefault(options.registry)

@@ -144,6 +144,7 @@ class FrontierInnStream : public serving::InnSource {
   size_t live_cells() const { return filter_.live_cells(); }
   size_t peak_live_cells() const { return filter_.peak_live_cells(); }
   uint64_t cells_evicted() const { return filter_.cells_evicted(); }
+  size_t reserved_bytes() const { return filter_.reserved_bytes(); }
   uint64_t heap_pops() const override { return pops_; }
   uint64_t node_reads() const override { return node_reads_; }
 

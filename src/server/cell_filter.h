@@ -12,6 +12,7 @@
 #include "geom/grid.h"
 #include "geom/point.h"
 #include "geom/rect.h"
+#include "serving/inn_backend.h"
 #include "telemetry/registry.h"
 
 namespace spacetwist::server {
@@ -33,12 +34,10 @@ class CellFilter {
   /// `visited` / `evicted` are optional registry counters mirroring the
   /// per-stream totals (null = not mirrored).
   CellFilter(const geom::Point& anchor, double epsilon, size_t k,
-             bool lazy_eviction, int64_t max_coverage_cells,
-             telemetry::Counter* visited = nullptr,
+             bool lazy_eviction, telemetry::Counter* visited = nullptr,
              telemetry::Counter* evicted = nullptr)
       : anchor_(anchor), k_(k), lazy_eviction_(lazy_eviction),
-        max_coverage_cells_(max_coverage_cells), visited_metric_(visited),
-        evicted_metric_(evicted) {
+        visited_metric_(visited), evicted_metric_(evicted) {
     if (epsilon > 0.0) {
       // Lemma 2: cell extent lambda = epsilon / sqrt(2) guarantees the
       // epsilon-relaxed result.
@@ -107,7 +106,7 @@ class CellFilter {
           auto it = cells_.find(cell);
           return it != cells_.end() && it->second >= k_;
         },
-        max_coverage_cells_);
+        serving::kMaxCoverageCells);
   }
 
   /// Introspection for tests and the memory-optimization ablation.
@@ -129,7 +128,6 @@ class CellFilter {
   geom::Point anchor_;
   size_t k_;
   bool lazy_eviction_;
-  int64_t max_coverage_cells_;
   telemetry::Counter* visited_metric_;  ///< borrowed, may be null
   telemetry::Counter* evicted_metric_;  ///< borrowed, may be null
 

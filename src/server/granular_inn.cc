@@ -11,7 +11,6 @@ GranularInnStream::GranularInnStream(rtree::RTree* tree,
                                      const GranularOptions& options)
     : tree_(tree), anchor_(anchor), epsilon_(epsilon), k_(k),
       filter_(anchor, epsilon, k, options.lazy_eviction,
-              options.max_coverage_cells,
               telemetry::MetricRegistry::OrDefault(options.registry)
                   ->GetCounter("server.granular.cells_visited"),
               telemetry::MetricRegistry::OrDefault(options.registry)

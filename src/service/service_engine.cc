@@ -30,8 +30,16 @@ void AppendSpans(std::vector<telemetry::SpanRecord>* dst,
   }
 }
 
-/// kInvalidArgument for k < 1, a negative epsilon, or an anchor coordinate
-/// or epsilon that is NaN or beyond float32's range.
+/// Smallest positive epsilon an Open may ask for, in meters. Below about
+/// 1.5e-15 m a coordinate of the [0, 10^4]^2 domain has a cell index
+/// floor(x / lambda) past int64's range, and cells fold together. The floor
+/// sits six orders of magnitude above that and far below any
+/// v_max * dt_max a client derives epsilon from.
+constexpr double kMinPositiveEpsilon = 1e-9;
+
+/// kInvalidArgument for k < 1, a negative epsilon, an epsilon in
+/// (0, kMinPositiveEpsilon), or an anchor coordinate or epsilon that is NaN
+/// or beyond float32's range.
 Status ValidateOpen(const geom::Point& anchor, double epsilon, size_t k) {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   // Written so NaN fails too. Past FLT_MAX the kernel's float32 cell
@@ -44,6 +52,9 @@ Status ValidateOpen(const geom::Point& anchor, double epsilon, size_t k) {
   }
   if (!in_float_range(epsilon) || epsilon < 0.0) {
     return Status::InvalidArgument("epsilon must be finite float32 and >= 0");
+  }
+  if (epsilon > 0.0 && epsilon < kMinPositiveEpsilon) {
+    return Status::InvalidArgument("epsilon must be 0 or >= 1e-9");
   }
   return Status::OK();
 }

@@ -18,6 +18,13 @@
 /// re-exports everything here under spacetwist::server for its callers.
 namespace spacetwist::serving {
 
+/// Coverage tests (Algorithm 2, Line 9) for an entry spanning more than this
+/// many grid cells conservatively report "not covered" (correct, possibly
+/// more work). One constant because the paged oracle's server::CellFilter
+/// and the kernel's memidx::MemCellFilter must apply the same cap, or their
+/// node reads diverge.
+inline constexpr int64_t kMaxCoverageCells = 4096;
+
 /// Tuning knobs shared by every granular INN stream implementation
 /// (ablation benchmarks flip them; defaults reproduce the paper).
 struct GranularOptions {
@@ -25,9 +32,6 @@ struct GranularOptions {
   /// (Algorithm 2, Line 8). Disabling it never changes the output, only the
   /// size of the tracked cell set V.
   bool lazy_eviction = true;
-  /// Coverage tests for an entry spanning more than this many grid cells
-  /// conservatively report "not covered" (correct, possibly more work).
-  int64_t max_coverage_cells = 4096;
   /// Metric registry the stream publishes its server.granular.* counters to
   /// (null = the process-wide default).
   telemetry::MetricRegistry* registry = nullptr;

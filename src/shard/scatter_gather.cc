@@ -20,8 +20,7 @@ ScatterGatherStream::ScatterGatherStream(
       on_retire_(std::move(on_retire)),
       // Same CellFilter (and hence the same lambda, Lemma 2) as the
       // single-server streams.
-      filter_(anchor, epsilon, k, options.lazy_eviction,
-              options.max_coverage_cells) {
+      filter_(anchor, epsilon, k, options.lazy_eviction) {
   SPACETWIST_CHECK(!targets.empty());
   SPACETWIST_CHECK(epsilon >= 0.0);
   SPACETWIST_CHECK(k >= 1);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -8,10 +10,13 @@
 
 #include "common/rng.h"
 #include "datasets/generator.h"
+#include "geom/grid.h"
+#include "memidx/mem_cell_filter.h"
 #include "memidx/mem_inn_stream.h"
 #include "memidx/mem_rtree.h"
 #include "rtree/node.h"
 #include "rtree/rtree.h"
+#include "server/cell_filter.h"
 #include "server/granular_inn.h"
 #include "server/lbs_server.h"
 #include "storage/buffer_pool.h"
@@ -32,11 +37,13 @@ namespace {
 ///    in the same order, same float32 coordinates),
 ///  * exact (distance, id) stream equality of the granular INN sessions —
 ///    every rank through exhaustion, quantized-duplicate ties included —
-///    across dataset shapes, k, epsilon, and churn, and
+///    across dataset shapes, k, epsilon, and churn,
 ///  * for the paged serving stream, the oracle's node reads and page reads
-///    in the oracle's order, and
+///    in the oracle's order,
 ///  * that the copy reads no page through the buffer pool and refuses an
-///    overfull page.
+///    overfull page, and
+///  * that the kernel's reserved bytes follow the work a pull does, for
+///    any epsilon or k.
 /// Byte-identity of the wire levels on top of these streams is pinned by
 /// memidx_wire_identity_test.cc.
 
@@ -333,6 +340,79 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{"CL", 16, 500.0}, DiffCase{"DUP", 1, 0.0},
                       DiffCase{"DUP", 16, 500.0}),
     CaseName);
+
+/// What one pull of the kernel may reserve: the tables every stream starts
+/// with — 1,024 slots of 40 bytes and a k-best block of at most 4,096
+/// entries of 16 bytes, 104 KiB rounded up to 128 — plus C bytes per leaf
+/// entry the pull could have scanned. C = 256: a scanned point creates at
+/// most one slot, which the table's 3/4 fill rule and doubling make at most
+/// 8/3 reserved slots (107 bytes), and pushes at most once, owning under 4
+/// k-best entries (64 bytes) that the pool's geometric growth at most
+/// doubles (128 bytes).
+constexpr size_t kInitialTableBytes = 128 * 1024;
+constexpr size_t kBytesPerScannedEntry = 256;
+
+template <typename Stream>
+void ExpectFirstPullBoundedByWork(Stream* stream, size_t leaf_capacity) {
+  EXPECT_LE(stream->reserved_bytes(), kInitialTableBytes);
+  std::vector<rtree::DataPoint> batch;
+  ASSERT_TRUE(stream->NextBatch(67, &batch).ok());
+  EXPECT_EQ(batch.size(), 67u);
+  EXPECT_LE(stream->reserved_bytes(),
+            kInitialTableBytes +
+                kBytesPerScannedEntry * stream->node_reads() * leaf_capacity)
+      << "node reads " << stream->node_reads();
+}
+
+/// Memory bounded by work: no epsilon and no k makes the kernel reserve
+/// more than its pull scanned, on either store, and pulled to exhaustion
+/// the streams still equal the oracle's — points, node reads and page
+/// reads. The cases reach where a cache dense in 1/epsilon or k k-best
+/// entries per cell would need gigabytes.
+TEST(KernelMemoryTest, AnyEpsilonOrKReservesBytesBoundedByWork) {
+  struct Case {
+    double epsilon;
+    size_t k;
+  };
+  const std::vector<Case> cases = {
+      {1e-4, 1}, {1e-6, 1}, {1e-12, 1}, {200, 100000}, {200, 4000000000}};
+  Pair pair = BuildPair(MakeData("UI"));
+  const geom::Point anchor{5000, 5000};
+  const size_t leaf_capacity = pair.paged->leaf_capacity();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "eps=" << c.epsilon << " k=" << c.k);
+    memidx::MemInnStream arena(pair.mem.get(), anchor, c.epsilon, c.k,
+                               server::GranularOptions());
+    ExpectFirstPullBoundedByWork(&arena, leaf_capacity);
+    std::unique_ptr<memidx::PagedInnStream> paged = OpenPagedServing(
+        &pair, anchor, c.epsilon, c.k, server::GranularOptions());
+    ASSERT_NE(paged, nullptr);
+    ExpectFirstPullBoundedByWork(paged.get(), leaf_capacity);
+
+    ExpectStreamsEqual(&pair, anchor, c.epsilon, c.k, /*batched=*/true);
+    ExpectPagedServingMatchesOracle(&pair, anchor, c.epsilon, c.k);
+  }
+}
+
+/// At the smallest positive epsilon an Open may carry (1e-9 m) a
+/// domain-wide MBR spans about 1.4e13 cells per axis, so its cell count
+/// overflows int64. The count saturates, and both filters refuse to decide
+/// coverage without forming the product (UBSan in the sanitizer job
+/// checks that).
+TEST(CellFilterTest, CoverageAtTheSmallestEpsilonDoesNotOverflow) {
+  const double epsilon = 1e-9;
+  const geom::Point anchor{5000, 5000};
+  const geom::Rect domain{{0, 0}, {10000, 10000}};
+  EXPECT_EQ(geom::Grid(epsilon / std::sqrt(2.0)).CountCellsOverlapping(domain),
+            std::numeric_limits<int64_t>::max());
+  memidx::MemCellFilter kernel(anchor, epsilon, 1, /*lazy_eviction=*/true);
+  server::CellFilter oracle(anchor, epsilon, 1, /*lazy_eviction=*/true);
+  EXPECT_TRUE(kernel.AdmitPoint(anchor));
+  EXPECT_TRUE(oracle.AdmitPoint(anchor));
+  EXPECT_FALSE(kernel.CoveredByFullCells(domain));
+  EXPECT_FALSE(oracle.CoveredByFullCells(domain));
+}
 
 /// Rewrites a page in place with an entry count one past its level's
 /// capacity: the root (a branch on every dataset here) or, with `leaf`, the

@@ -471,10 +471,12 @@ TEST_F(ServiceEngineTest, WireErrorsCarryTheStatusCode) {
 }
 
 /// A CRC-valid Open whose epsilon or anchor is NaN, infinite or beyond
-/// float32's range is kInvalidArgument on the wire. Unchecked, NaN aborts
-/// the serving kernel and an infinite epsilon never returns from the first
-/// pull; the engine keeps serving afterwards.
-TEST_F(ServiceEngineTest, NonFiniteOpenParametersAreInvalidArgument) {
+/// float32's range, or whose epsilon is positive but below 1e-9 m, is
+/// kInvalidArgument on the wire. Unchecked, NaN aborts the serving kernel,
+/// an infinite epsilon never returns from the first pull, and epsilon =
+/// 1e-20 overflows the int64 cell index and drops points; the engine keeps
+/// serving afterwards.
+TEST_F(ServiceEngineTest, OutOfRangeOpenParametersAreInvalidArgument) {
   ServiceEngine engine(server_.get());
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -489,6 +491,7 @@ TEST_F(ServiceEngineTest, NonFiniteOpenParametersAreInvalidArgument) {
       {"epsilon +inf", {5000, 5000}, inf},
       {"epsilon 5e38", {5000, 5000}, 5e38},
       {"anchor.x NaN", {nan, 5000}, 0.0},
+      {"epsilon 1e-20", {5000, 5000}, 1e-20},
   };
   for (const Bad& b : bad) {
     net::OpenRequest open;
