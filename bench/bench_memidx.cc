@@ -14,12 +14,15 @@
 //
 // Sole writer of BENCH_latency.json (schema spacetwist.memidx.v1): one
 // result entry per backend with its per-query latency histogram and its
-// private server.granular.* registry snapshot, plus the headline speedup.
+// private server.granular.* registry snapshot, plus the headline speedup
+// and the build it was measured in (CMake build type and whether NDEBUG
+// was set), since the ratio moves with the optimization level.
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -32,6 +35,16 @@
 
 namespace spacetwist::bench {
 namespace {
+
+#ifndef SPACETWIST_BUILD_TYPE
+#define SPACETWIST_BUILD_TYPE "unknown"
+#endif
+constexpr const char* kBuildType = SPACETWIST_BUILD_TYPE;
+#if defined(NDEBUG)
+constexpr uint64_t kNdebug = 1;
+#else
+constexpr uint64_t kNdebug = 0;
+#endif
 
 constexpr size_t kBeta = 67;       // the paper's packet capacity
 constexpr size_t kPullsPerQuery = 4;  // ~4 packets/query, Table I regime
@@ -186,8 +199,10 @@ void Run() {
                             static_cast<unsigned long long>(run->points))});
   }
   table.Print(std::cout);
-  std::printf("speedup=%.1fx over %zu queries; streams byte-identical\n",
-              speedup, workload.size());
+  std::printf(
+      "speedup=%.1fx over %zu queries; streams byte-identical "
+      "(build %s, NDEBUG %s)\n",
+      speedup, workload.size(), kBuildType, kNdebug != 0 ? "on" : "off");
 
   telemetry::JsonWriter json;
   json.BeginObject();
@@ -197,6 +212,8 @@ void Run() {
   json.KV("queries", static_cast<uint64_t>(workload.size()));
   json.KV("beta", static_cast<uint64_t>(kBeta));
   json.KV("pulls_per_query", static_cast<uint64_t>(kPullsPerQuery));
+  json.KV("build_type", std::string_view(kBuildType));
+  json.KV("ndebug", kNdebug);
   json.Key("results").BeginArray();
   for (const BackendRun* run : {&paged, &memidx}) {
     json.BeginObject();
@@ -223,7 +240,7 @@ void Run() {
     // regression leaves the numbers behind for diagnosis.
     SPACETWIST_CHECK(speedup >= 5.0)
         << "memidx serving must be >= 5x cheaper than paged, got "
-        << StrFormat("%.2f", speedup) << "x";
+        << StrFormat("%.2f", speedup) << "x (build " << kBuildType << ")";
   }
 }
 

@@ -2,9 +2,30 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 namespace spacetwist::core {
+
+Status ValidateQueryParameters(const geom::Point& anchor, double epsilon,
+                               size_t k) {
+  if (k < 1) return Status::InvalidArgument("k must be >= 1");
+  // Written so NaN fails too. Past FLT_MAX the kernel's float32 cell
+  // boundaries overflow, and its scan never ends.
+  const auto in_float_range = [](double v) {
+    return std::fabs(v) <= std::numeric_limits<float>::max();
+  };
+  if (!in_float_range(anchor.x) || !in_float_range(anchor.y)) {
+    return Status::InvalidArgument("anchor must be finite float32");
+  }
+  if (!in_float_range(epsilon) || epsilon < 0.0) {
+    return Status::InvalidArgument("epsilon must be finite float32 and >= 0");
+  }
+  if (epsilon > 0.0 && epsilon < kMinPositiveEpsilon) {
+    return Status::InvalidArgument("epsilon must be 0 or >= 1e-9");
+  }
+  return Status::OK();
+}
 
 double ErrorBoundForMobility(double max_speed_m_per_s,
                              double max_delay_seconds) {

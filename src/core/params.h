@@ -3,7 +3,25 @@
 
 #include <cstddef>
 
+#include "common/status.h"
+#include "geom/point.h"
+
 namespace spacetwist::core {
+
+/// Smallest positive epsilon a granular query may ask for, in meters. Below
+/// about 1.5e-15 m a coordinate of the [0, 10^4]^2 domain has a cell index
+/// floor(x / lambda) past int64's range, and cells fold together. The floor
+/// sits six orders of magnitude above that and far below any
+/// v_max * dt_max a client derives epsilon from.
+inline constexpr double kMinPositiveEpsilon = 1e-9;
+
+/// The one parameter check of every entry into granular search (the
+/// engine's Open, RemoteQuery and SpaceTwistClient::Query):
+/// kInvalidArgument for k < 1, a negative epsilon, an epsilon in
+/// (0, kMinPositiveEpsilon), or an anchor coordinate or epsilon that is NaN
+/// or beyond float32's range.
+Status ValidateQueryParameters(const geom::Point& anchor, double epsilon,
+                               size_t k);
 
 /// Parameter-selection guidelines from Section V of the paper.
 

@@ -8,6 +8,7 @@
 
 #include "common/logging.h"
 #include "core/anchor.h"
+#include "core/params.h"
 
 namespace spacetwist::core {
 
@@ -109,10 +110,8 @@ SpaceTwistClient::SpaceTwistClient(server::LbsServer* server)
 Result<QueryOutcome> SpaceTwistClient::Query(const geom::Point& q,
                                              const geom::Point& anchor,
                                              const QueryParams& params) {
-  if (params.k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (params.epsilon < 0.0) {
-    return Status::InvalidArgument("epsilon must be >= 0");
-  }
+  SPACETWIST_RETURN_NOT_OK(
+      ValidateQueryParameters(anchor, params.epsilon, params.k));
 
   // The server only ever learns the anchor, epsilon, and k.
   std::unique_ptr<server::GranularInnStream> stream =

@@ -107,7 +107,6 @@ bool MemCellFilter::BeginLeafScan(const geom::Rect& mbr, LeafScanPlan* plan) {
   plan->c0y = lo.iy;
   plan->nx = nx;
   plan->ny = ny;
-  plan->ncells = nx * ny;
   for (int64_t j = 1; j < nx; ++j) {
     plan->bx[static_cast<size_t>(j - 1)] = BoundaryThreshold(lo.ix + j);
   }
@@ -121,14 +120,30 @@ bool MemCellFilter::BeginLeafScan(const geom::Rect& mbr, LeafScanPlan* plan) {
       const size_t idx = static_cast<size_t>(iy * nx + ix);
       if (s->admitted >= k_) {
         plan->slot[idx] = kFullCell;
+        plan->reject[idx] = -std::numeric_limits<double>::infinity();
       } else {
         plan->slot[idx] = static_cast<uint32_t>(s - slots_.data());
+        plan->reject[idx] = s->reject;
         plan->skip_all = false;
       }
     }
   }
-  if (!plan->skip_all) RecomputeMaxReject(plan);
   return true;
+}
+
+void MemCellFilter::ClassifyLeafPoints(const LeafScanPlan& plan,
+                                       const float* xs, const float* ys,
+                                       size_t n, uint32_t* cells) {
+  for (size_t i = 0; i < n; ++i) cells[i] = 0;
+  for (int64_t j = 0; j + 1 < plan.nx; ++j) {
+    const float t = plan.bx[static_cast<size_t>(j)];
+    for (size_t i = 0; i < n; ++i) cells[i] += xs[i] >= t ? 1u : 0u;
+  }
+  const auto row = static_cast<uint32_t>(plan.nx);
+  for (int64_t j = 0; j + 1 < plan.ny; ++j) {
+    const float t = plan.by[static_cast<size_t>(j)];
+    for (size_t i = 0; i < n; ++i) cells[i] += ys[i] >= t ? row : 0u;
+  }
 }
 
 float MemCellFilter::BoundaryThreshold(int64_t c) const {

@@ -1,12 +1,10 @@
 #ifndef SPACETWIST_MEMIDX_MEM_CELL_FILTER_H_
 #define SPACETWIST_MEMIDX_MEM_CELL_FILTER_H_
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <queue>
 #include <vector>
@@ -23,9 +21,11 @@ namespace spacetwist::memidx {
 /// differential suite pins the reported stream bit for bit against the
 /// paged oracle — but engineered for the per-scanned-point hot loop:
 ///
-///  * one open-addressing probe per scanned point over 40-byte slots that
-///    stay cache-resident for a whole query, where server::CellFilter pays
-///    an unordered_map find per check;
+///  * open-addressing probes over 40-byte slots that stay cache-resident
+///    for a whole query, where server::CellFilter pays an unordered_map
+///    find per check — and on a leaf scan one probe per overlapped cell,
+///    after which a scanned point costs one compare against its own cell's
+///    threshold (LeafScanPlan);
 ///  * frontier admission control: each cell records the k smallest
 ///    (distance, id) points pushed so far, letting AdmitToFrontier() drop,
 ///    at push time, any point that k better same-cell points already
@@ -74,29 +74,32 @@ class MemCellFilter {
 
   /// A leaf overlaps only a handful of grid cells (lambda is of leaf
   /// order), so a whole-leaf scan can probe each overlapped cell once up
-  /// front and classify every point with an array index plus one compare.
-  /// Plans wider than this fall back to per-point AdmitToFrontier().
+  /// front, give every point its plan cell in one classification pass, and
+  /// then admit per point with one load and one compare. Plans wider than
+  /// this fall back to per-point AdmitToFrontier().
   static constexpr int64_t kMaxLeafScanCells = 16;
   /// Marks a full cell in LeafScanPlan::slot: its points need no probe.
   static constexpr uint32_t kFullCell = 0xFFFFFFFFu;
 
-  /// One leaf's scan plan. Valid for a single leaf expansion: admissions
-  /// and evictions (pop-time events) invalidate the full flags, but no pop
-  /// happens mid-expansion.
+  /// One leaf's scan plan. Valid for a single leaf expansion: only pops
+  /// admit points or evict cells, and no pop happens mid-expansion, so a
+  /// cell full when the plan is built stays full, and a non-full cell's
+  /// threshold moves only with the pushes the scan itself makes into it.
   struct LeafScanPlan {
     int64_t c0x = 0;  ///< cell-range origin
     int64_t c0y = 0;
-    int64_t nx = 0;      ///< range width in cells
-    int64_t ny = 0;      ///< range height in cells
-    int64_t ncells = 0;  ///< total cells in the plan (nx * ny)
-    /// Max reject threshold over the plan's non-full cells: a scanned point
-    /// with dist_squared above this is rejected no matter which cell it
-    /// falls in (full cell => rejected outright; non-full => above that
-    /// cell's own threshold), so the hot loop skips it with one compare —
-    /// no cell classification at all. +inf until every plan cell has k
-    /// pushed points; kept current by TestScanPoint as thresholds tighten.
-    double max_reject = 0.0;
+    int64_t nx = 0;  ///< range width in cells
+    int64_t ny = 0;  ///< range height in cells
     bool skip_all = false;  ///< every overlapped cell is full
+    /// Per plan cell, the largest dist_squared a scanned point may have and
+    /// still need SlowPush's verdict: -inf for a full cell (nothing is
+    /// pushed there), else the cell slot's quick-reject threshold, which
+    /// PushScanPoint copies back after every push into the cell. So
+    /// `dist_squared > reject[cell]` rejects exactly the points that
+    /// AdmitToFrontier's two early outs (full cell, dominated) reject, and
+    /// every other point reaches the same SlowPush on the same slot.
+    std::array<double, kMaxLeafScanCells> reject = {};
+    /// Slot index per plan cell (row-major, iy * nx + ix), or kFullCell.
     std::array<uint32_t, kMaxLeafScanCells> slot = {};
     /// Float thresholds of the plan's internal cell boundaries: bx[j] is
     /// the smallest float32 coordinate Grid::CellOf maps to column
@@ -115,7 +118,16 @@ class MemCellFilter {
   /// oracle would push those points and reject each at pop.
   bool BeginLeafScan(const geom::Rect& mbr, LeafScanPlan* plan);
 
-  /// Admission verdicts of TestScanPoint / AdmitToFrontier. Non-negative
+  /// The classification pass: cells[i] receives the plan cell
+  /// (iy * nx + ix) of point (xs[i], ys[i]), where ix counts the column
+  /// thresholds bx[j] <= xs[i] and iy the row thresholds by[j] <= ys[i] —
+  /// Grid::CellOf's cell for every point of the plan's leaf. Threshold
+  /// outside, points inside: each inner loop is a branch-free
+  /// compare-and-add over contiguous floats, which the compiler vectorizes.
+  static void ClassifyLeafPoints(const LeafScanPlan& plan, const float* xs,
+                                 const float* ys, size_t n, uint32_t* cells);
+
+  /// Admission verdicts of PushScanPoint / AdmitToFrontier. Non-negative
   /// values are a FrontierHeap handle: the point dominates the cell's
   /// kth-best pushed point, whose heap entry it must replace (decrease-key)
   /// — the oracle pushes such points and rejects the displaced one at pop.
@@ -123,32 +135,16 @@ class MemCellFilter {
   static constexpr int64_t kFreshAction = -2;   ///< push, tracked by record
   static constexpr int64_t kUntrackedAction = -3;  ///< push, no record
 
-  /// Per-point test against a plan, for points that survive the caller's
-  /// `dist_squared <= plan.max_reject` pre-check. Same key and the same
-  /// push-or-never-reported verdict as AdmitToFrontier, minus the per-point
-  /// hash probe and divide: the point's cell comes from comparing against
-  /// the plan's precomputed boundary thresholds (exactly Grid::CellOf's
-  /// verdict — see LeafScanPlan::bx) and indexes straight into the plan.
-  /// `fresh_handle` is recorded iff the verdict is kFreshAction.
-  int64_t TestScanPoint(LeafScanPlan* plan, float x, float y,
-                        double dist_squared, uint32_t id,
-                        uint32_t fresh_handle, double* key) {
-    int64_t ix = 0;
-    for (int64_t j = 1; j < plan->nx; ++j) {
-      ix += static_cast<int64_t>(x >= plan->bx[static_cast<size_t>(j - 1)]);
-    }
-    int64_t iy = 0;
-    for (int64_t j = 1; j < plan->ny; ++j) {
-      iy += static_cast<int64_t>(y >= plan->by[static_cast<size_t>(j - 1)]);
-    }
-    const size_t idx = static_cast<size_t>(iy * plan->nx + ix);
-    const uint32_t si = plan->slot[idx];
-    if (si == kFullCell) return kRejectAction;  // cell already reported k
-    Slot& s = slots_[si];
-    if (dist_squared > s.reject) return kRejectAction;  // dominated
-    const double before = s.reject;
+  /// Decides a scanned point of plan cell `cell` (from ClassifyLeafPoints)
+  /// that passed the scan's `dist_squared <= plan->reject[cell]` check:
+  /// SlowPush on the cell's slot gives AdmitToFrontier's verdict and key,
+  /// and the cell's plan threshold follows the slot's. `fresh_handle` is
+  /// recorded iff the verdict is kFreshAction.
+  int64_t PushScanPoint(LeafScanPlan* plan, uint32_t cell, double dist_squared,
+                        uint32_t id, uint32_t fresh_handle, double* key) {
+    Slot& s = slots_[plan->slot[cell]];
     const int64_t action = SlowPush(&s, dist_squared, id, fresh_handle, key);
-    if (s.reject != before) RecomputeMaxReject(plan);
+    plan->reject[cell] = s.reject;
     return action;
   }
 
@@ -257,7 +253,7 @@ class MemCellFilter {
       i = (i + 1) & mask;
     }
   }
-  /// The exact-compare tail shared by AdmitToFrontier and TestScanPoint:
+  /// The exact-compare tail shared by AdmitToFrontier and PushScanPoint:
   /// takes the sqrt, applies the oracle's (key, id) dominance test against
   /// the cell's k-best record, inserts on success, and refreshes the
   /// sqrt-free reject threshold. When the insert displaces the record's
@@ -311,19 +307,6 @@ class MemCellFilter {
   static double RejectThreshold(double key) {
     const double x = key * key;  // key = +inf stays +inf: never quick-reject
     return x + (x * 1e-15 + 1e-300);
-  }
-
-  /// Refreshes plan->max_reject from the plan's non-full slots (at most
-  /// kMaxLeafScanCells loads; runs only when a threshold actually tightens,
-  /// a few times per query).
-  void RecomputeMaxReject(LeafScanPlan* plan) const {
-    double m = -std::numeric_limits<double>::infinity();
-    for (int64_t i = 0; i < plan->ncells; ++i) {
-      const uint32_t si = plan->slot[static_cast<size_t>(i)];
-      if (si == kFullCell) continue;
-      m = std::max(m, slots_[si].reject);
-    }
-    plan->max_reject = m;
   }
 
   /// Moves a full record below k to the pool's end with twice its capacity,

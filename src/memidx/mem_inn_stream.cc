@@ -63,6 +63,7 @@ FrontierInnStream<NodeStore>::FrontierInnStream(
   heap_pops_metric_ = r->GetCounter("server.granular.heap_pops");
   points_reported_metric_ = r->GetCounter("server.granular.points_reported");
   scratch_.resize(store_.leaf_capacity());
+  cells_.resize(store_.leaf_capacity());
   FrontierEntry root;
   root.key = 0.0;
   root.id = store_.root();
@@ -97,9 +98,10 @@ Status FrontierInnStream<NodeStore>::ExpandNode(const FrontierEntry& item) {
   SPACETWIST_RETURN_NOT_OK(store_.Load(item.id, &is_leaf));
   ++node_reads_;
   if (is_leaf) {
-    // Fast path: probe each of the leaf's few overlapped cells once, then
-    // admit per point with an array index plus one compare. Needs the
-    // node's MBR (unknown only for a leaf root).
+    // Fast path: probe each of the leaf's few overlapped cells once, give
+    // every point its plan cell in one pass, then admit per point with one
+    // load and one compare. Needs the node's MBR (unknown only for a leaf
+    // root).
     MemCellFilter::LeafScanPlan plan;
     if (item.max_x >= item.x && item.max_y >= item.y &&
         filter_.BeginLeafScan(
@@ -114,18 +116,19 @@ Status FrontierInnStream<NodeStore>::ExpandNode(const FrontierEntry& item) {
       const MemRTree::LeafView leaf = store_.Leaf();
       BatchedSquaredDistances(anchor_, leaf.xs, leaf.ys, leaf.count,
                               scratch_.data());
-      double max_reject = plan.max_reject;
+      MemCellFilter::ClassifyLeafPoints(plan, leaf.xs, leaf.ys, leaf.count,
+                                        cells_.data());
       for (uint32_t i = 0; i < leaf.count; ++i) {
-        // One compare rejects the point whichever plan cell holds it; only
-        // survivors pay for cell classification, and only pushed points
-        // build a frontier entry.
-        if (scratch_[i] > max_reject) continue;
+        // The point's own cell threshold rejects it when its cell is full
+        // (-inf) or k pushed points dominate it; only points SlowPush must
+        // decide go on, and only pushed points build a frontier entry.
+        const uint32_t cell = cells_[i];
+        if (scratch_[i] > plan.reject[cell]) continue;
         double key;
         const int64_t action =
-            filter_.TestScanPoint(&plan, leaf.xs[i], leaf.ys[i], scratch_[i],
-                                  leaf.ids[i], heap_.next_handle(), &key);
+            filter_.PushScanPoint(&plan, cell, scratch_[i], leaf.ids[i],
+                                  heap_.next_handle(), &key);
         if (action == MemCellFilter::kRejectAction) continue;
-        max_reject = plan.max_reject;  // a push may tighten it
         ApplyAction(action, key, leaf.xs[i], leaf.ys[i], leaf.ids[i]);
       }
       return Status::OK();

@@ -99,7 +99,8 @@ class PageStore {
 ///    pass over structure-of-arrays coordinates (memidx/batch_distance.h)
 ///    instead of per-point geom::Distance calls;
 ///  * the cell bookkeeping is a MemCellFilter: one open-addressing probe
-///    per scanned point, and push-time pruning of points that k better
+///    per cell a leaf overlaps, one compare per scanned point against its
+///    cell's threshold, and push-time pruning of points that k better
 ///    same-cell frontier entries already dominate (they could never be
 ///    reported), so frontier traffic collapses to O(k) per cell;
 ///  * NextBatch() advances the frontier in bulk, reporting up to a whole
@@ -171,6 +172,7 @@ class FrontierInnStream : public serving::InnSource {
 
   FrontierHeap heap_;
   std::vector<double> scratch_;  ///< batched-kernel output, one leaf's worth
+  std::vector<uint32_t> cells_;  ///< a leaf's plan cells (ClassifyLeafPoints)
   std::vector<rtree::DataPoint> single_;  ///< Next()'s one-point batch
 
   double last_report_distance_ = 0.0;

@@ -1,15 +1,14 @@
 #include "service/service_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
-#include <limits>
 #include <optional>
 #include <utility>
 #include <variant>
 
 #include "common/logging.h"
 #include "common/strings.h"
+#include "core/params.h"
 
 namespace spacetwist::service {
 
@@ -28,35 +27,6 @@ void AppendSpans(std::vector<telemetry::SpanRecord>* dst,
     if (dst->size() >= cap) break;
     dst->push_back(span);
   }
-}
-
-/// Smallest positive epsilon an Open may ask for, in meters. Below about
-/// 1.5e-15 m a coordinate of the [0, 10^4]^2 domain has a cell index
-/// floor(x / lambda) past int64's range, and cells fold together. The floor
-/// sits six orders of magnitude above that and far below any
-/// v_max * dt_max a client derives epsilon from.
-constexpr double kMinPositiveEpsilon = 1e-9;
-
-/// kInvalidArgument for k < 1, a negative epsilon, an epsilon in
-/// (0, kMinPositiveEpsilon), or an anchor coordinate or epsilon that is NaN
-/// or beyond float32's range.
-Status ValidateOpen(const geom::Point& anchor, double epsilon, size_t k) {
-  if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  // Written so NaN fails too. Past FLT_MAX the kernel's float32 cell
-  // boundaries overflow, and its scan never ends.
-  const auto in_float_range = [](double v) {
-    return std::fabs(v) <= std::numeric_limits<float>::max();
-  };
-  if (!in_float_range(anchor.x) || !in_float_range(anchor.y)) {
-    return Status::InvalidArgument("anchor must be finite float32");
-  }
-  if (!in_float_range(epsilon) || epsilon < 0.0) {
-    return Status::InvalidArgument("epsilon must be finite float32 and >= 0");
-  }
-  if (epsilon > 0.0 && epsilon < kMinPositiveEpsilon) {
-    return Status::InvalidArgument("epsilon must be 0 or >= 1e-9");
-  }
-  return Status::OK();
 }
 
 Status SessionNotFound(uint64_t session_id) {
@@ -166,7 +136,8 @@ void ServiceEngine::PublishLocked(Shard* shard, uint64_t id, Session session) {
 
 std::vector<uint8_t> ServiceEngine::HandleOpen(const net::OpenRequest& open) {
   instruments_.open_requests->Add();
-  const Status valid = ValidateOpen(open.anchor, open.epsilon, open.k);
+  const Status valid =
+      core::ValidateQueryParameters(open.anchor, open.epsilon, open.k);
   if (!valid.ok()) return EncodeErrorFrame(valid);
   const std::vector<uint8_t> frame = net::EncodeRequest(open);
   std::string key(frame.begin(), frame.end());

@@ -4,6 +4,8 @@
 #include <utility>
 #include <variant>
 
+#include "core/params.h"
+
 namespace spacetwist::service {
 
 namespace {
@@ -338,23 +340,12 @@ Status WireSession::Close() {
   return Status::DeadlineExceeded("close retry budget exhausted");
 }
 
-namespace {
-
-Status ValidateParams(const core::QueryParams& params) {
-  if (params.k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (params.epsilon < 0.0) {
-    return Status::InvalidArgument("epsilon must be >= 0");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<core::QueryOutcome> RemoteQuery(net::FrameHandler* handler,
                                        const geom::Point& q,
                                        const geom::Point& anchor,
                                        const core::QueryParams& params) {
-  SPACETWIST_RETURN_NOT_OK(ValidateParams(params));
+  SPACETWIST_RETURN_NOT_OK(
+      core::ValidateQueryParameters(anchor, params.epsilon, params.k));
   SPACETWIST_ASSIGN_OR_RETURN(
       std::unique_ptr<WireSession> session,
       WireSession::Open(handler, anchor, params.epsilon, params.k));
@@ -374,7 +365,8 @@ Result<core::QueryOutcome> RemoteQuery(net::FrameTransport* transport,
                                        const core::QueryParams& params,
                                        const RetryConfig& retry,
                                        RetryStats* stats) {
-  SPACETWIST_RETURN_NOT_OK(ValidateParams(params));
+  SPACETWIST_RETURN_NOT_OK(
+      core::ValidateQueryParameters(anchor, params.epsilon, params.k));
   SPACETWIST_ASSIGN_OR_RETURN(
       std::unique_ptr<WireSession> session,
       WireSession::Open(transport, anchor, params.epsilon, params.k, retry));

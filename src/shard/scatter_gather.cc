@@ -49,15 +49,16 @@ ScatterGatherStream::~ScatterGatherStream() {
 
 double ScatterGatherStream::LowerBound(const ShardState& s) const {
   if (s.exhausted) return kInf;
-  if (s.channel == nullptr) {
+  if (s.stream == nullptr) {
     return geom::MinDist(anchor_, s.target.partition->bounds);
   }
   if (!s.buffer.empty()) return s.buffer.front().distance;
   return s.floor;
 }
 
-Status ScatterGatherStream::Fill(ShardState* s, size_t shard_index) {
-  if (s->channel == nullptr) {
+Status ScatterGatherStream::Fill(ShardState* s, size_t shard_index,
+                                 size_t max_points) {
+  if (s->stream == nullptr) {
     telemetry::Trace::Span open =
         telemetry::Trace::SpanOn(trace_, "router.shard.open");
     open.Note("shard", shard_index);
@@ -67,8 +68,6 @@ Status ScatterGatherStream::Fill(ShardState* s, size_t shard_index) {
     options.registry = s->target.registry;
     s->stream =
         s->target.server->OpenInnSource(anchor_, epsilon_, k_, options);
-    s->channel = std::make_unique<net::PacketChannel>(s->stream.get(),
-                                                      net::PacketConfig());
     ++stats_.fanout;
     opens_metric_->Add();
   }
@@ -77,34 +76,33 @@ Status ScatterGatherStream::Fill(ShardState* s, size_t shard_index) {
   pull.Note("shard", shard_index);
   pull.Note("seq", s->next_seq);
   // The shard stream's page fetches nest under this span, which notes the
-  // work the packet cost (notes on an untraced span are no-ops).
+  // work the pull cost (notes on an untraced span are no-ops).
   server::InnSource* stream = s->stream.get();
   const uint64_t pops_before = stream->heap_pops();
   const uint64_t reads_before = stream->node_reads();
+  pulled_.clear();
   stream->set_trace(trace_);
-  Result<net::Packet> packet = s->channel->NextPacket();
+  const Status status = stream->NextBatch(max_points, &pulled_);
   stream->set_trace(nullptr);
   pull.Note("heap_pops", stream->heap_pops() - pops_before);
   pull.Note("node_reads", stream->node_reads() - reads_before);
-  pull.Note("points", packet.ok() ? packet->points.size() : 0);
+  pull.Note("points", pulled_.size());
+  ++s->next_seq;
   ++stats_.shard_pulls;
   pulls_metric_->Add();
   if (s->target.pulls != nullptr) s->target.pulls->Add();
-  if (!packet.ok()) {
-    if (!packet.status().IsExhausted()) return packet.status();
-    pull.Note("exhausted", 1);
-    s->exhausted = true;
-    s->channel.reset();
-    s->stream.reset();
-    return Status::OK();
-  }
-  ++s->next_seq;
-  for (const rtree::DataPoint& p : packet->points) {
+  SPACETWIST_RETURN_NOT_OK(status);
+  for (const rtree::DataPoint& p : pulled_) {
     rtree::Neighbor n;
     n.point = p;
     n.distance = geom::Distance(anchor_, p.point);
     s->floor = n.distance;  // ascending within the shard stream
     s->buffer.push_back(n);
+  }
+  if (pulled_.size() < max_points) {
+    pull.Note("exhausted", 1);
+    s->exhausted = true;
+    s->stream.reset();
   }
   return Status::OK();
 }
@@ -115,7 +113,21 @@ bool ScatterGatherStream::PassesCellFilter(const rtree::Neighbor& n) {
 }
 
 Result<rtree::DataPoint> ScatterGatherStream::Next() {
-  for (;;) {
+  single_.clear();
+  SPACETWIST_RETURN_NOT_OK(NextBatch(1, &single_));
+  if (single_.empty()) {
+    return Status::Exhausted("scatter-gather stream is dry");
+  }
+  return single_[0];
+}
+
+Status ScatterGatherStream::NextBatch(size_t max_points,
+                                      std::vector<rtree::DataPoint>* out) {
+  // Router counters are flushed once per call, not per merge step.
+  const uint64_t pops_before = merge_pops_;
+  const size_t out_before = out->size();
+  Status status;
+  while (out->size() < max_points) {
     // The buffered head with the globally smallest (distance, id) — the
     // same total order the single-server heap pops points in.
     size_t best = shards_.size();
@@ -153,23 +165,24 @@ Result<rtree::DataPoint> ScatterGatherStream::Next() {
     if (fill != shards_.size() &&
         (best == shards_.size() ||
          fill_lb <= shards_[best].buffer.front().distance)) {
-      SPACETWIST_RETURN_NOT_OK(Fill(&shards_[fill], fill));
+      status = Fill(&shards_[fill], fill, max_points - out->size());
+      if (!status.ok()) break;
       continue;
     }
 
-    if (best == shards_.size()) {
-      return Status::Exhausted("scatter-gather stream is dry");
-    }
+    if (best == shards_.size()) break;  // every reachable shard is dry
 
     const rtree::Neighbor head = shards_[best].buffer.front();
     shards_[best].buffer.pop_front();
     ++merge_pops_;
-    merge_pops_metric_->Add();
     if (!PassesCellFilter(head)) continue;
     last_report_distance_ = head.distance;
-    points_reported_metric_->Add();
-    return head.point;
+    out->push_back(head.point);
   }
+  merge_pops_metric_->Add(merge_pops_ - pops_before);
+  points_reported_metric_->Add(
+      static_cast<uint64_t>(out->size() - out_before));
+  return status;
 }
 
 }  // namespace spacetwist::shard

@@ -10,7 +10,6 @@
 #include "common/result.h"
 #include "geom/point.h"
 #include "geom/rect.h"
-#include "net/channel.h"
 #include "rtree/entry.h"
 #include "server/cell_filter.h"
 #include "server/granular_inn.h"
@@ -23,7 +22,7 @@ namespace spacetwist::shard {
 
 /// Per-query fan-out accounting for one merged stream: how many shard
 /// streams the query actually opened (<= N thanks to rectangle pruning and
-/// lazy opening) and how many shard packets it pulled.
+/// lazy opening) and how many batches it pulled from them.
 struct StreamStats {
   uint32_t fanout = 0;
   uint64_t shard_pulls = 0;
@@ -34,12 +33,12 @@ struct StreamStats {
 /// the fleet is indistinguishable from one query against a single server.
 ///
 /// The merge owns one granular stream per shard it reaches — the query's
-/// own stream (same epsilon and k) on that shard's LbsServer, packed into
-/// beta = 67 packets by a PacketChannel — and applies Algorithm 2's cell
-/// filter once more over the merge: identical rule, identical state
-/// evolution, hence byte-identical output to GranularInnStream. Shard
-/// streams live and die with the merge (a dry shard frees its stream at
-/// once), so nothing on the shard side can expire under a live query.
+/// own stream (same epsilon and k) on that shard's LbsServer, pulled
+/// straight through its NextBatch — and applies Algorithm 2's cell filter
+/// once more over the merge: identical rule, identical state evolution,
+/// hence byte-identical output to GranularInnStream. Shard streams live and
+/// die with the merge (a dry shard frees its stream at once), so nothing on
+/// the shard side can expire under a live query.
 ///
 /// The shard-local filter is only a pre-filter: a grid cell split across
 /// two shards can pass up to k points from each, so the global cap stays
@@ -59,12 +58,17 @@ struct StreamStats {
 ///  * a shard stream is opened only when its partition rectangle's mindist
 ///    to the anchor is <= the distance of the point about to be merged out
 ///    (shards the supply disk never reaches are never contacted);
-///  * one packet is pulled at a time, only when the shard's buffered head
-///    (or, unopened/drained, its lower bound) could be the global minimum.
+///  * a shard is pulled only when its buffered head (or, unopened/drained,
+///    its lower bound) could be the global minimum, and only for as many
+///    points as the merged batch still needs — more could be wasted, since
+///    other shards may supply the rest. A batch shorter than asked means
+///    the shard is dry.
 ///
-/// Every shard filled during a Next() call therefore has lower bound <= the
-/// distance of some delivered point <= the query's final supply radius tau —
-/// the pruning-tightness property the shard tests pin down.
+/// Every shard filled during a NextBatch() call therefore has lower bound
+/// <= the distance of some delivered point <= the query's final supply
+/// radius tau — the pruning-tightness property the shard tests pin down.
+/// The batch sizes a caller asks for change how far ahead shards are read,
+/// never the merged points or the shards opened.
 class ScatterGatherStream : public server::InnSource {
  public:
   /// One shard of the fleet, as seen by the merge.
@@ -99,10 +103,16 @@ class ScatterGatherStream : public server::InnSource {
   /// once every reachable shard stream is dry.
   Result<rtree::DataPoint> Next() override;
 
+  /// Appends the next globally distance-ordered (cell-filtered) points to
+  /// `*out` until it holds `max_points`; fewer means every reachable shard
+  /// stream is dry.
+  Status NextBatch(size_t max_points,
+                   std::vector<rtree::DataPoint>* out) override;
+
   void set_trace(telemetry::Trace* trace) override { trace_ = trace; }
 
   /// Merge steps play the role heap pops play in the single-server stream;
-  /// node reads map to per-shard packet pulls (the unit of router I/O).
+  /// node reads map to shard pulls (the unit of router I/O).
   uint64_t heap_pops() const override { return merge_pops_; }
   uint64_t node_reads() const override { return stats_.shard_pulls; }
 
@@ -114,14 +124,14 @@ class ScatterGatherStream : public server::InnSource {
  private:
   struct ShardState {
     ShardTarget target;
-    /// The shard's stream and the channel packing it; both null until the
-    /// first fill and again once the shard runs dry.
+    /// The shard's stream; null until the first fill and again once the
+    /// shard runs dry.
     std::unique_ptr<server::InnSource> stream;
-    std::unique_ptr<net::PacketChannel> channel;
+    /// No points beyond `buffer`: a pull came back short.
     bool exhausted = false;
-    uint64_t next_seq = 0;
-    /// Points buffered from pulled packets, each with its anchor distance
-    /// (ascending within and across packets of one shard).
+    uint64_t next_seq = 0;  ///< pulls made so far
+    /// Points buffered from pulls, each with its anchor distance
+    /// (ascending within and across pulls of one shard).
     std::deque<rtree::Neighbor> buffer;
     /// Distance of the last point buffered so far: once the buffer drains,
     /// this lower-bounds everything the shard has yet to deliver.
@@ -132,9 +142,10 @@ class ScatterGatherStream : public server::InnSource {
   /// exhausted; mindist to the partition rectangle before the first open).
   double LowerBound(const ShardState& s) const;
 
-  /// Opens the shard stream if needed and pulls exactly one packet,
-  /// buffering its points or marking the shard exhausted.
-  Status Fill(ShardState* s, size_t shard_index);
+  /// Opens the shard stream if needed and pulls up to `max_points` from
+  /// it into the buffer, marking the shard exhausted when it comes up
+  /// short.
+  Status Fill(ShardState* s, size_t shard_index, size_t max_points);
 
   /// Algorithm 2's per-point cell filter (same CellFilter state machine as
   /// the single-server streams, evicting lazily at the merge frontier):
@@ -148,6 +159,9 @@ class ScatterGatherStream : public server::InnSource {
   RetireFn on_retire_;
 
   server::CellFilter filter_;
+
+  std::vector<rtree::DataPoint> pulled_;  ///< Fill()'s batch scratch
+  std::vector<rtree::DataPoint> single_;  ///< Next()'s one-point batch
 
   StreamStats stats_;
   uint64_t merge_pops_ = 0;

@@ -1,16 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "datasets/generator.h"
 #include "geom/grid.h"
+#include "memidx/batch_distance.h"
 #include "memidx/mem_cell_filter.h"
 #include "memidx/mem_inn_stream.h"
 #include "memidx/mem_rtree.h"
@@ -412,6 +416,257 @@ TEST(CellFilterTest, CoverageAtTheSmallestEpsilonDoesNotOverflow) {
   EXPECT_TRUE(oracle.AdmitPoint(anchor));
   EXPECT_FALSE(kernel.CoveredByFullCells(domain));
   EXPECT_FALSE(oracle.CoveredByFullCells(domain));
+}
+
+/// A leaf-scan plan's MBR over `nx` x `ny` cells: from the center of cell
+/// `lo` to the center of the cell nx - 1 columns and ny - 1 rows beyond.
+geom::Rect PlanMbr(const geom::Grid& grid, const geom::GridCell& lo,
+                   int64_t nx, int64_t ny) {
+  const double l = grid.cell_extent();
+  return geom::Rect{
+      geom::Point{(static_cast<double>(lo.ix) + 0.5) * l,
+                  (static_cast<double>(lo.iy) + 0.5) * l},
+      geom::Point{(static_cast<double>(lo.ix + nx) - 0.5) * l,
+                  (static_cast<double>(lo.iy + ny) - 0.5) * l}};
+}
+
+/// Float32 coordinates on an axis of a plan: each internal cell-boundary
+/// threshold, one ulp either side of it, and every cell's center — those
+/// that Grid::CellOf (column `first` to `last` along `cell_of`) keeps
+/// inside the plan.
+std::vector<float> EdgeCoordinates(
+    const float* thresholds, int64_t n, const geom::Grid& grid,
+    int64_t first, int64_t last,
+    const std::function<int64_t(float)>& cell_of) {
+  std::vector<float> candidates;
+  for (int64_t j = 0; j + 1 < n; ++j) {
+    const float t = thresholds[j];
+    candidates.push_back(std::nextafterf(t, -INFINITY));
+    candidates.push_back(t);
+    candidates.push_back(std::nextafterf(t, INFINITY));
+  }
+  for (int64_t c = first; c <= last; ++c) {
+    candidates.push_back(static_cast<float>(
+        (static_cast<double>(c) + 0.5) * grid.cell_extent()));
+  }
+  std::vector<float> inside;
+  for (const float v : candidates) {
+    const int64_t c = cell_of(v);
+    if (c >= first && c <= last) inside.push_back(v);
+  }
+  return inside;
+}
+
+/// The classification pass gives every point Grid::CellOf's cell — exactly
+/// on each boundary threshold and one float32 ulp either side of it — for
+/// plans of 1x1 to 4x4 cells and 16x1, at cell extents from leaf order
+/// down to a few float32 ulps, on both sides of the origin.
+TEST(LeafScanPlanTest, ClassificationMatchesCellOfAtEveryEdge) {
+  std::vector<std::pair<int64_t, int64_t>> shapes = {{16, 1}};
+  for (int64_t nx = 1; nx <= 4; ++nx) {
+    for (int64_t ny = 1; ny <= 4; ++ny) shapes.push_back({nx, ny});
+  }
+  size_t on_threshold = 0;
+  for (const double epsilon : {200.0, 0.5, 1e-3}) {
+    const geom::Grid grid(epsilon / std::sqrt(2.0));
+    for (const geom::Point origin :
+         {geom::Point{-1.0, -1.0}, geom::Point{5000.3, 4999.7},
+          geom::Point{9990.0, 13.0}}) {
+      for (const auto& [nx, ny] : shapes) {
+        memidx::MemCellFilter filter(origin, epsilon, 4,
+                                     /*lazy_eviction=*/true);
+        const geom::GridCell lo = grid.CellOf(origin);
+        memidx::MemCellFilter::LeafScanPlan plan;
+        ASSERT_TRUE(filter.BeginLeafScan(PlanMbr(grid, lo, nx, ny), &plan));
+        ASSERT_EQ(plan.c0x, lo.ix);
+        ASSERT_EQ(plan.c0y, lo.iy);
+        ASSERT_EQ(plan.nx, nx);
+        ASSERT_EQ(plan.ny, ny);
+        const std::vector<float> xs_axis = EdgeCoordinates(
+            plan.bx.data(), nx, grid, lo.ix, lo.ix + nx - 1, [&](float v) {
+              return grid.CellOf(geom::Point{v, 0.0}).ix;
+            });
+        const std::vector<float> ys_axis = EdgeCoordinates(
+            plan.by.data(), ny, grid, lo.iy, lo.iy + ny - 1, [&](float v) {
+              return grid.CellOf(geom::Point{0.0, v}).iy;
+            });
+        std::vector<float> xs, ys;
+        for (const float x : xs_axis) {
+          for (const float y : ys_axis) {
+            xs.push_back(x);
+            ys.push_back(y);
+          }
+        }
+        std::vector<uint32_t> cells(xs.size());
+        memidx::MemCellFilter::ClassifyLeafPoints(plan, xs.data(), ys.data(),
+                                                  xs.size(), cells.data());
+        for (size_t i = 0; i < xs.size(); ++i) {
+          const geom::GridCell want = grid.CellOf(geom::Point{xs[i], ys[i]});
+          EXPECT_EQ(cells[i], static_cast<uint32_t>((want.iy - lo.iy) * nx +
+                                                    (want.ix - lo.ix)))
+              << "eps=" << epsilon << " plan " << nx << "x" << ny << " at ("
+              << xs[i] << ", " << ys[i] << ")";
+        }
+        for (int64_t j = 0; j + 1 < nx; ++j) {
+          on_threshold += std::count(xs.begin(), xs.end(), plan.bx[j]);
+        }
+      }
+    }
+  }
+  EXPECT_GT(on_threshold, 0u);
+}
+
+/// A full cell's plan threshold is -inf: the scan rejects each of its
+/// points, the one at distance zero included, and a plan whose every cell
+/// is full skips the leaf.
+TEST(LeafScanPlanTest, FullCellRejectsEveryPoint) {
+  const double epsilon = 200.0;
+  const geom::Grid grid(epsilon / std::sqrt(2.0));
+  const geom::Point anchor{5000.25, 5000.5};
+  const geom::GridCell lo = grid.CellOf(anchor);
+  const size_t k = 2;
+  memidx::MemCellFilter filter(anchor, epsilon, k, /*lazy_eviction=*/true);
+  for (size_t i = 0; i < k; ++i) ASSERT_TRUE(filter.AdmitPoint(anchor));
+
+  memidx::MemCellFilter::LeafScanPlan plan;
+  ASSERT_TRUE(filter.BeginLeafScan(PlanMbr(grid, lo, 2, 2), &plan));
+  EXPECT_FALSE(plan.skip_all);
+  EXPECT_EQ(plan.slot[0], memidx::MemCellFilter::kFullCell);
+  EXPECT_EQ(plan.reject[0], -std::numeric_limits<double>::infinity());
+  for (size_t c = 1; c < 4; ++c) {
+    EXPECT_EQ(plan.reject[c], std::numeric_limits<double>::infinity());
+  }
+  const geom::Rect full = grid.CellRect(lo);
+  Rng rng(77);
+  std::vector<float> xs = {static_cast<float>(anchor.x)};
+  std::vector<float> ys = {static_cast<float>(anchor.y)};
+  for (int i = 0; i < 200; ++i) {
+    xs.push_back(static_cast<float>(rng.Uniform(full.min.x, full.max.x)));
+    ys.push_back(static_cast<float>(rng.Uniform(full.min.y, full.max.y)));
+  }
+  std::vector<uint32_t> cells(xs.size());
+  memidx::MemCellFilter::ClassifyLeafPoints(plan, xs.data(), ys.data(),
+                                            xs.size(), cells.data());
+  for (size_t i = 0; i < xs.size(); ++i) {
+    if (grid.CellOf(geom::Point{xs[i], ys[i]}) != lo) continue;
+    ASSERT_EQ(cells[i], 0u);
+    EXPECT_GT(memidx::ScalarSquaredDistance(anchor, xs[i], ys[i]),
+              plan.reject[cells[i]]);
+  }
+
+  for (int64_t iy = 0; iy < 2; ++iy) {
+    for (int64_t ix = 0; ix < 2; ++ix) {
+      const geom::Rect cell =
+          grid.CellRect(geom::GridCell{lo.ix + ix, lo.iy + iy});
+      const geom::Point center{(cell.min.x + cell.max.x) / 2,
+                               (cell.min.y + cell.max.y) / 2};
+      while (filter.AdmitPoint(center)) {
+      }
+    }
+  }
+  ASSERT_TRUE(filter.BeginLeafScan(PlanMbr(grid, lo, 2, 2), &plan));
+  EXPECT_TRUE(plan.skip_all);
+}
+
+/// Over random leaves — point ties, points on cell edges, cells filling up
+/// and evicted between leaves — the plan path (one compare against the
+/// point's cell threshold, then PushScanPoint) gives every point the
+/// verdict and key AdmitToFrontier gives it on a twin filter fed the same
+/// history: reject, fresh push, or the same replaced handle.
+TEST(LeafScanPlanTest, ScanVerdictsMatchAdmitToFrontier) {
+  using Filter = memidx::MemCellFilter;
+  for (const size_t k : {size_t{1}, size_t{16}}) {
+    const double epsilon = 200.0;
+    const geom::Grid grid(epsilon / std::sqrt(2.0));
+    const double l = grid.cell_extent();
+    const geom::Point anchor{5000.5, 4999.25};
+    Filter scan(anchor, epsilon, k, /*lazy_eviction=*/true);
+    Filter twin(anchor, epsilon, k, /*lazy_eviction=*/true);
+    Rng rng(1000 + k);
+    uint32_t next_handle = 0;
+    std::vector<geom::Point> pushed;
+    double frontier = 0.0;
+    size_t plans = 0, full_rejects = 0, dominated = 0, fresh = 0,
+           replaced = 0;
+    for (uint32_t leaf = 0; leaf < 400; ++leaf) {
+      const geom::Point at{anchor.x + rng.Uniform(-6 * l, 6 * l),
+                           anchor.y + rng.Uniform(-6 * l, 6 * l)};
+      const geom::Rect mbr{
+          at, geom::Point{at.x + rng.Uniform(0, 3.5 * l),
+                          at.y + rng.Uniform(0, 3.5 * l)}};
+      Filter::LeafScanPlan plan;
+      if (!scan.BeginLeafScan(mbr, &plan)) continue;
+      ++plans;
+      const size_t n = static_cast<size_t>(rng.UniformInt(1, 84));
+      std::vector<float> xs, ys;
+      std::vector<uint32_t> ids;
+      for (size_t i = 0; i < n; ++i) {
+        float x = static_cast<float>(rng.Uniform(mbr.min.x, mbr.max.x));
+        float y = static_cast<float>(rng.Uniform(mbr.min.y, mbr.max.y));
+        if (i > 0 && rng.Bernoulli(0.2)) {  // a tie with an earlier point
+          const size_t j = static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(i) - 1));
+          x = xs[j];
+          y = ys[j];
+        } else if (plan.nx > 1 && rng.Bernoulli(0.1)) {  // on a cell edge
+          x = plan.bx[static_cast<size_t>(rng.UniformInt(0, plan.nx - 2))];
+        }
+        xs.push_back(x);
+        ys.push_back(y);
+        // Alternate id order so ties break both ways.
+        ids.push_back(leaf * 100 + static_cast<uint32_t>(
+                                       leaf % 2 == 0 ? i : 99 - i));
+      }
+      std::vector<uint32_t> cells(n);
+      Filter::ClassifyLeafPoints(plan, xs.data(), ys.data(), n, cells.data());
+      for (size_t i = 0; i < n; ++i) {
+        const geom::Point p{xs[i], ys[i]};
+        const double d2 = memidx::ScalarSquaredDistance(anchor, xs[i], ys[i]);
+        double scan_key = -1.0;
+        double twin_key = -1.0;
+        const uint32_t cell = cells[i];
+        int64_t got = Filter::kRejectAction;
+        if (d2 <= plan.reject[cell]) {
+          got = scan.PushScanPoint(&plan, cell, d2, ids[i], next_handle,
+                                   &scan_key);
+        } else if (plan.slot[cell] == Filter::kFullCell) {
+          ++full_rejects;
+        } else {
+          ++dominated;
+        }
+        const int64_t want =
+            twin.AdmitToFrontier(p, d2, ids[i], next_handle, &twin_key);
+        ASSERT_EQ(got, want) << "k=" << k << " leaf " << leaf << " point "
+                             << i;
+        if (want == Filter::kRejectAction) continue;
+        EXPECT_EQ(scan_key, twin_key);
+        if (want == Filter::kFreshAction) {
+          ++fresh;
+          ++next_handle;
+          pushed.push_back(p);
+        } else {
+          ++replaced;
+        }
+      }
+      // Pop-time events between leaves, the same on both filters.
+      const int64_t admits = rng.UniformInt(0, 20);
+      for (int64_t a = 0; a < admits && !pushed.empty(); ++a) {
+        const geom::Point& p = pushed[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(pushed.size()) - 1))];
+        ASSERT_EQ(scan.AdmitPoint(p), twin.AdmitPoint(p));
+      }
+      frontier += rng.Uniform(0.0, 2.0);
+      scan.EvictUpTo(frontier);
+      twin.EvictUpTo(frontier);
+    }
+    EXPECT_GT(plans, 200u) << "k=" << k;
+    EXPECT_GT(full_rejects, 0u) << "k=" << k;
+    EXPECT_GT(dominated, 0u) << "k=" << k;
+    EXPECT_GT(fresh, 0u) << "k=" << k;
+    EXPECT_GT(replaced, 0u) << "k=" << k;
+    EXPECT_GT(scan.cells_evicted(), 0u) << "k=" << k;
+    EXPECT_EQ(scan.cells_evicted(), twin.cells_evicted()) << "k=" << k;
+  }
 }
 
 /// Rewrites a page in place with an entry count one past its level's

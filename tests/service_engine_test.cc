@@ -524,6 +524,54 @@ TEST_F(ServiceEngineTest, OutOfRangeOpenParametersAreInvalidArgument) {
   EXPECT_EQ(packet->packet.size(), 67u);
 }
 
+/// Both client entry points run the engine's parameter check before any
+/// search: a tiny epsilon used to fold the in-process client's cells and
+/// answer hundreds of meters off, where the engine refused it.
+TEST_F(ServiceEngineTest, ClientEntryPointsRefuseWhatTheEngineRefuses) {
+  ServiceEngine engine(server_.get(), Options());
+  net::DirectTransport transport(&engine);
+  core::SpaceTwistClient client(server_.get());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const geom::Point q{4250, 6800};
+  struct Bad {
+    const char* what;
+    geom::Point anchor;
+    double epsilon;
+  };
+  const std::vector<Bad> bad = {
+      {"epsilon 1e-20", {4300, 6750}, 1e-20},
+      {"epsilon NaN", {4300, 6750}, nan},
+      {"epsilon 5e38", {4300, 6750}, 5e38},
+      {"anchor.y NaN", {4300, nan}, 200.0},
+  };
+  for (const Bad& b : bad) {
+    core::QueryParams params;
+    params.k = 4;
+    params.epsilon = b.epsilon;
+    EXPECT_TRUE(client.Query(q, b.anchor, params).status().IsInvalidArgument())
+        << b.what;
+    EXPECT_TRUE(RemoteQuery(&engine, q, b.anchor, params)
+                    .status()
+                    .IsInvalidArgument())
+        << b.what;
+    EXPECT_TRUE(RemoteQuery(&transport, q, b.anchor, params, RetryConfig())
+                    .status()
+                    .IsInvalidArgument())
+        << b.what;
+  }
+  EXPECT_EQ(Count("service.engine.sessions_opened"), 0u);
+
+  core::QueryParams params;
+  params.k = 4;
+  params.epsilon = 1e-9;
+  auto local = client.Query(q, {4300, 6750}, params);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  auto remote = RemoteQuery(&engine, q, {4300, 6750}, params);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  EXPECT_EQ(local->neighbors.size(), 4u);
+  EXPECT_EQ(remote->retrieved, local->retrieved);
+}
+
 TEST_F(ServiceEngineTest, MalformedFramesGetErrorRepliesNotCrashes) {
   ServiceEngine engine(server_.get(), Options());
   const std::vector<std::vector<uint8_t>> bad = {

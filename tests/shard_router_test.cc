@@ -153,6 +153,61 @@ TEST(ShardRouterStreamTest, MergedStreamByteIdenticalToSingleServer) {
       {150.0, 500.0}, {1u, 4u, 16u}, /*min_split_cell_points=*/16);
 }
 
+/// Stream level, batched: pulled through NextBatch in sizes 1, 7 and 67,
+/// cycled to exhaustion, the merged stream is point for point the single
+/// server's — how far ahead the merge reads its shards changes nothing it
+/// reports — and the first short batch ends it. The second input splits a
+/// lambda-cell across shards with more than k points on each side.
+TEST(ShardRouterStreamTest, MergedStreamDoesNotDependOnBatchSizes) {
+  const double epsilon = 200.0;
+  const std::vector<std::pair<datasets::Dataset, std::vector<geom::Point>>>
+      inputs = {
+          {TestDataset(3000, 901), {{5000, 5000}, {123, 456}, {9990, 120}}},
+          {StraddlingCellDataset(908),
+           {{5080, 5080}, {5000, 5400}, {4500, 4600}}},
+      };
+  for (const auto& [dataset, anchors] : inputs) {
+    auto single = server::LbsServer::Build(dataset).MoveValueOrDie();
+    telemetry::MetricRegistry registry;
+    auto router = BuildRouter(dataset, 4, &registry);
+    if (dataset.name == "straddling_cell") {
+      ASSERT_GT(MaxPointsPerSideOfASplitCell(*router, epsilon), 16u);
+    }
+    for (const size_t k : {1u, 16u}) {
+      for (const geom::Point& anchor : anchors) {
+        server::GranularOptions options;
+        options.registry = &registry;
+        auto expected =
+            single->OpenGranularSession(anchor, epsilon, k, options);
+        std::vector<rtree::DataPoint> want;
+        for (;;) {
+          auto point = expected->Next();
+          if (!point.ok()) {
+            ASSERT_TRUE(point.status().IsExhausted());
+            break;
+          }
+          want.push_back(*point);
+        }
+        auto merged = router->OpenInnSource(anchor, epsilon, k, options);
+        std::vector<rtree::DataPoint> got;
+        constexpr size_t kSizes[] = {1, 7, 67};
+        for (size_t pull = 0;; ++pull) {
+          const size_t size = kSizes[pull % 3];
+          std::vector<rtree::DataPoint> batch;
+          ASSERT_TRUE(merged->NextBatch(size, &batch).ok());
+          got.insert(got.end(), batch.begin(), batch.end());
+          if (batch.size() < size) break;
+        }
+        std::vector<rtree::DataPoint> after;
+        ASSERT_TRUE(merged->NextBatch(67, &after).ok());
+        EXPECT_TRUE(after.empty());
+        EXPECT_EQ(got, want) << dataset.name << " k=" << k << " anchor ("
+                             << anchor.x << ", " << anchor.y << ")";
+      }
+    }
+  }
+}
+
 /// Satellite 1 (workload level): closed-loop workload digests through the
 /// fronting engine are byte-identical to the single-server reference for
 /// every fleet size.
@@ -290,6 +345,16 @@ TEST(ShardRouterFanoutTest, DefaultBetaFanoutPinnedAndSubLinear) {
   // workload with a single packet.
   EXPECT_EQ(total_fanout, 58u);
   EXPECT_EQ(total_pulls, 58u);
+  // Points the shard streams computed for the workload. A shard is pulled
+  // for at most what the merged batch still needs, so this falls whenever
+  // the merge reads less ahead.
+  uint64_t shard_points = 0;
+  for (size_t i = 0; i < router->num_shards(); ++i) {
+    shard_points += router->shard_registry(i)
+                        ->GetCounter("server.granular.points_reported")
+                        ->value();
+  }
+  EXPECT_EQ(shard_points, 3243u);
 }
 
 /// Tentpole plumbing: per-shard pull counters and the fan-out histogram

@@ -30,6 +30,8 @@ Checks every document passed on the command line:
   == 1 (the differential contract), a latency histogram, and an embedded
   telemetry section; the reported point counts must agree across backends
   and the headline speedup must match the measured ns_per_query ratio;
+  the build it was measured in must be recorded (a non-empty build_type
+  and ndebug 0 or 1), since the ratio moves with the optimization level;
 * spacetwist.openloop.v1 — an open-loop knee sweep (bench_openloop's
   BENCH_openloop.json) must carry knee points strictly monotone in offered
   load, each with a goodput, a latency histogram, a queue-delay histogram,
@@ -358,10 +360,17 @@ def validate_memidx_document(document, path):
 
     Checks the serving-backend comparison claims: both backends present,
     byte-identical streams (digest_match, equal point counts), positive
-    per-query costs, and a headline speedup that matches the measured
-    ratio. Latency histograms and the embedded telemetry sections are
-    validated by the caller's walk.
+    per-query costs, a headline speedup that matches the measured ratio,
+    and the build the ratio was measured in. Latency histograms and the
+    embedded telemetry sections are validated by the caller's walk.
     """
+    build_type = document.get("build_type")
+    if not isinstance(build_type, str) or not build_type:
+        error(path, "build_type must be a non-empty string (the CMake build "
+              "the speedup was measured in)")
+    if document.get("ndebug") not in (0, 1) or isinstance(
+            document.get("ndebug"), bool):
+        error(path, "ndebug must be 0 or 1")
     results = document.get("results")
     if not isinstance(results, list) or not results:
         error(path, "memidx document needs a non-empty results array")

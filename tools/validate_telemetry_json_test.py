@@ -92,6 +92,8 @@ GOOD_MEMIDX = {
     "queries": 400,
     "beta": 67,
     "pulls_per_query": 4,
+    "build_type": "RelWithDebInfo",
+    "ndebug": 1,
     "results": [
         {"backend": "paged", "ns_per_query": 2600000.0, "points": 107200,
          "digest_match": 1,
@@ -436,6 +438,22 @@ def main():
         "memidx missing latency histogram",
         broken(GOOD_MEMIDX, lambda d: d["results"][0].pop("latency_ns")),
         "missing latency_ns")
+    expect_error(
+        "memidx missing build type",
+        broken(GOOD_MEMIDX, lambda d: d.pop("build_type")),
+        "build_type")
+    expect_error(
+        "memidx empty build type",
+        broken(GOOD_MEMIDX, lambda d: d.__setitem__("build_type", "")),
+        "build_type")
+    expect_error(
+        "memidx missing NDEBUG state",
+        broken(GOOD_MEMIDX, lambda d: d.pop("ndebug")),
+        "ndebug")
+    expect_error(
+        "memidx NDEBUG state not 0 or 1",
+        broken(GOOD_MEMIDX, lambda d: d.__setitem__("ndebug", 2)),
+        "ndebug")
     expect_error(
         "memidx broken embedded histogram",
         broken(GOOD_MEMIDX,
