@@ -6,7 +6,6 @@
 // shards spatially clustered, so a supply disk touches few partition
 // rectangles and scale-out buys capacity without scattering every query.
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "eval/table.h"
 #include "shard/router.h"
 #include "telemetry/metric.h"
+#include "telemetry/timeseries.h"
 
 namespace spacetwist::bench {
 namespace {
@@ -58,16 +58,10 @@ void Run() {
     SPACETWIST_CHECK(router.ok()) << router.status().ToString();
     shard::ShardRouter* rt = router->get();
 
-    load.fanout_probe = [rt](const geom::Point& anchor,
-                             eval::TradeoffRecord* record) {
-      if (auto fanout = rt->TakeFanout(anchor)) {
-        record->fanout = fanout->fanout;
-        record->shard_pulls = fanout->shard_pulls;
-      }
-    };
-    // Every fleet counts its pulls into the same default-registry
-    // shard.<i>.pulls counters, so each fleet's share is the delta around
-    // its run.
+    // Every fleet counts into the same default-registry instruments — its
+    // pulls into shard.<i>.pulls, each query's fan-out (one merged stream
+    // per query on this fault-free link) into shard.router.fanout — so each
+    // fleet's share is the growth around its run.
     std::vector<telemetry::Counter*> pull_counters;
     std::vector<uint64_t> pulls_before;
     for (size_t i = 0; i < shards; ++i) {
@@ -75,23 +69,25 @@ void Run() {
           rt->registry()->GetCounter(StrFormat("shard.%zu.pulls", i)));
       pulls_before.push_back(pull_counters.back()->value());
     }
+    const telemetry::Histogram* fanout_hist =
+        rt->registry()->GetHistogram("shard.router.fanout");
+    const telemetry::HistogramSnapshot fanout_before = fanout_hist->Snapshot();
     auto report = eval::RunLoad(rt->front(), schedule, load);
-    load.fanout_probe = nullptr;
     SPACETWIST_CHECK(report.ok()) << report.status().ToString();
     SPACETWIST_CHECK(report->digests == *reference)
         << shards << " shards changed query results vs one server";
+    // The fleet's own records; its max is the top of the highest bucket
+    // that grew, exact here because values below 32 have unit buckets.
+    const telemetry::HistogramSnapshot fanout =
+        telemetry::SubtractHistogramSnapshot(fanout_hist->Snapshot(),
+                                             fanout_before);
 
     Measurement m;
     m.shards = shards;
-    uint64_t fanout_sum = 0;
-    for (const eval::TradeoffRecord& rec : report->tradeoffs) {
-      fanout_sum += rec.fanout;
-      m.max_fanout = std::max(m.max_fanout, rec.fanout);
-    }
-    m.mean_fanout = report->tradeoffs.empty()
-                        ? 0.0
-                        : static_cast<double>(fanout_sum) /
-                              static_cast<double>(report->tradeoffs.size());
+    m.mean_fanout = fanout.count == 0 ? 0.0
+                                      : static_cast<double>(fanout.sum) /
+                                            static_cast<double>(fanout.count);
+    m.max_fanout = static_cast<uint32_t>(fanout.max);
     for (size_t i = 0; i < shards; ++i) {
       m.per_shard_pulls.push_back(pull_counters[i]->value() - pulls_before[i]);
       m.shard_points.push_back(

@@ -2,7 +2,7 @@
 // traced workload runs through the wire codec against a ServiceEngine, the
 // client merges the piggybacked server spans into one trace tree per query,
 // and the run exports the Chrome-trace_event document (BENCH_trace.json,
-// schema spacetwist.trace.v1) plus one trade-off record per query. The whole
+// schema spacetwist.trace.v2) plus one trade-off record per query. The whole
 // run is driven by a VirtualClock, and the export is rendered twice from two
 // identically-seeded runs and checked byte-identical — determinism is the
 // claim, not just a convenience.

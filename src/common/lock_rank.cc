@@ -9,7 +9,6 @@ Mutex kFaultyTransport{LockRank::kFaultyTransport, "lock_order.faulty_transport"
 Mutex kEventTransport{LockRank::kEventTransport, "lock_order.event_transport"};
 Mutex kThreadPool{LockRank::kThreadPool, "lock_order.thread_pool"};
 Mutex kEngineFront{LockRank::kEngineFront, "lock_order.engine_front"};
-Mutex kRouterFanout{LockRank::kRouterFanout, "lock_order.router_fanout"};
 Mutex kTraceSink{LockRank::kTraceSink, "lock_order.trace_sink"};
 Mutex kFlightRecorder{LockRank::kFlightRecorder, "lock_order.flight_recorder"};
 Mutex kBufferPool{LockRank::kBufferPool, "lock_order.buffer_pool"};

@@ -31,8 +31,7 @@ extern Mutex kFaultyTransport;
 extern Mutex kEventTransport ACQUIRED_AFTER(kFaultyTransport);
 extern Mutex kThreadPool ACQUIRED_AFTER(kEventTransport);
 extern Mutex kEngineFront ACQUIRED_AFTER(kThreadPool);
-extern Mutex kRouterFanout ACQUIRED_AFTER(kEngineFront);
-extern Mutex kTraceSink ACQUIRED_AFTER(kRouterFanout);
+extern Mutex kTraceSink ACQUIRED_AFTER(kEngineFront);
 extern Mutex kFlightRecorder ACQUIRED_AFTER(kTraceSink);
 extern Mutex kBufferPool ACQUIRED_AFTER(kFlightRecorder);
 extern Mutex kMetricRegistry ACQUIRED_AFTER(kBufferPool);

@@ -20,8 +20,6 @@ namespace spacetwist {
 ///
 ///   FaultyTransport::RoundTrip holds its schedule lock across
 ///   inner->HandleFrame          -> kFaultyTransport before everything;
-///   a merged stream retiring under an engine stripe folds into the
-///   router's fan-out log        -> kEngineFront before kRouterFanout;
 ///   Absorb offers a retiring session's spans to the trace sink and
 ///   stream traversal (a scatter-gather merge's shard streams included)
 ///   fetches R-tree pages, both under a stripe
@@ -42,7 +40,6 @@ enum class LockRank : int {
   kEventTransport = 150,   ///< engine::InProcessEventTransport queues
   kThreadPool = 200,       ///< service::ThreadPool queue
   kEngineFront = 500,      ///< ServiceEngine session-table stripes
-  kRouterFanout = 700,     ///< shard::ShardRouter fan-out log
   kTraceSink = 800,        ///< telemetry::TraceSink buffer
   kFlightRecorder = 850,   ///< telemetry::FlightRecorder ring
   kBufferPool = 900,       ///< storage::BufferPool LRU bookkeeping
@@ -58,7 +55,7 @@ namespace lock_rank_internal {
 /// locks it holds. Acquiring a rank <= the deepest held rank aborts with
 /// both lock names — the deterministic cross-TU complement to the static
 /// acquired_before/after analysis (which cannot see e.g. the stripe ->
-/// fan-out log nesting behind an InnSource virtual destructor). Compiled
+/// buffer-pool nesting behind an InnSource's virtual NextBatch). Compiled
 /// out entirely when SPACETWIST_LOCK_RANK_CHECKS is OFF (release builds),
 /// so the discipline costs nothing where it is not being checked.
 void OnAcquire(const Mutex* mu, int rank, const char* name);

@@ -296,9 +296,6 @@ void LoadRun::Record(size_t i, const Result<core::QueryOutcome>& outcome,
   rec.uplink_bytes = (outcome->packets + 2) * pc.header_bytes;
   rec.latency_ns = latency_ns;
   rec.retry = slot.retry;
-  // The query's session is closed by now (RemoteQuery returned), so a
-  // sharded backend has already retired the stream the probe reads.
-  if (options_.fanout_probe != nullptr) options_.fanout_probe(a.anchor, &rec);
   finished_.fetch_add(1, std::memory_order_release);
 }
 

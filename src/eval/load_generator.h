@@ -2,7 +2,6 @@
 #define SPACETWIST_EVAL_LOAD_GENERATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -86,12 +85,6 @@ struct LoadOptions {
   /// dataset the engine serves). Null leaves records unevaluated. Scored
   /// sequentially after the run, off the latency path.
   server::LbsServer* truth = nullptr;
-  /// Fan-out leg of the trade-off: invoked once per completed query, after
-  /// its session closed, with the anchor it disclosed — a sharded
-  /// deployment fills TradeoffRecord::fanout / shard_pulls from its router
-  /// (shard::ShardRouter::TakeFanout). Must be thread-safe.
-  std::function<void(const geom::Point& anchor, TradeoffRecord* record)>
-      fanout_probe;
   /// Windowed telemetry (docs/OBSERVABILITY.md §7): > 0 samples the run's
   /// registry into windows of this width on the run's timeline — modeled
   /// arrival time under kModeled (byte-identical series), the run clock

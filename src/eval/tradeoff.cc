@@ -25,8 +25,6 @@ void WriteTradeoffs(const std::vector<TradeoffRecord>& records,
     writer->KV("downlink_bytes", rec.downlink_bytes);
     writer->KV("uplink_bytes", rec.uplink_bytes);
     writer->KV("latency_ns", rec.latency_ns);
-    writer->KV("fanout", rec.fanout);
-    writer->KV("shard_pulls", rec.shard_pulls);
     writer->KV("attempts", rec.retry.attempts);
     writer->KV("retries", rec.retry.retries);
     writer->KV("reopens", rec.retry.reopens);

@@ -48,11 +48,6 @@ struct TradeoffRecord {
   uint64_t uplink_bytes = 0;
   uint64_t latency_ns = 0;
 
-  // Scale-out: the router's fan-out leg of the trade-off (0/0 when the
-  // backend is a single server). Populated via LoadOptions::fanout_probe.
-  uint32_t fanout = 0;        ///< shard streams the query opened
-  uint64_t shard_pulls = 0;   ///< shard packets the router pulled for it
-
   // Fault/retry events the client observed while running the query.
   service::RetryStats retry;
 };

@@ -152,8 +152,7 @@ size_t ChooseSubtree(const Node& node, const geom::Point& p) {
 RTree::RTree(storage::Pager* pager, const RTreeOptions& options)
     : options_(options),
       pool_(std::make_unique<storage::BufferPool>(
-          pager, std::max<size_t>(1, options.buffer_pool_pages),
-          options.concurrent_reads)) {}
+          pager, std::max<size_t>(1, options.buffer_pool_pages))) {}
 
 Result<std::unique_ptr<RTree>> RTree::Create(storage::Pager* pager,
                                              const RTreeOptions& options) {

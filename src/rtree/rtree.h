@@ -21,9 +21,11 @@ struct RTreeOptions {
   size_t page_size = storage::kDefaultPageSize;  ///< paper: 1 KB pages
   size_t buffer_pool_pages = 256;  ///< cache size for query processing
   double min_fill = 0.4;           ///< node underflow threshold fraction
-  /// Synchronizes the buffer pool so read-only traversals (queries, INN
-  /// cursors, granular streams) may run from many threads at once; see
-  /// src/service. Structural mutation (Insert/Delete) stays single-threaded.
+  /// Selects nothing: the buffer pool always locks, so read-only traversals
+  /// (queries, INN cursors, granular streams) may run from many threads at
+  /// once whatever this says; structural mutation (Insert/Delete) stays
+  /// single-threaded. Kept only while the serving benchmark still assigns
+  /// it; a benchmark change retires it.
   bool concurrent_reads = false;
 };
 

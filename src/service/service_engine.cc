@@ -174,7 +174,6 @@ std::vector<uint8_t> ServiceEngine::HandleOpen(const net::OpenRequest& open) {
       return packet.status();
     }
     // Dry at open: packet 0 is empty, and is replayed like any other.
-    session.has_cached = true;
     session.next_seq = 1;
     return net::Packet{};
   }();
@@ -260,7 +259,7 @@ std::vector<uint8_t> ServiceEngine::HandlePull(const net::PullRequest& pull) {
           telemetry::Trace::SpanOn(traced, "server.pull");
       pull_span.Note("seq", pull.seq);
       session.last_touch_ns = NowNs();
-      if (session.has_cached && pull.seq + 1 == session.next_seq) {
+      if (pull.seq + 1 == session.next_seq) {
         // Idempotent retry: the client never saw the reply to its last
         // pull.
         instruments_.pulls_replayed->Add();
@@ -274,8 +273,8 @@ std::vector<uint8_t> ServiceEngine::HandlePull(const net::PullRequest& pull) {
             static_cast<unsigned long long>(session.next_seq)));
       }
       // The stream traversal runs under the shard lock; different shards
-      // proceed in parallel and share the tree through its synchronized
-      // buffer pool.
+      // proceed in parallel and share the tree through its buffer pool,
+      // which locks its own bookkeeping.
       return Advance(&session, traced);
     }();
     if (traced == nullptr) return served;
@@ -306,7 +305,6 @@ Result<net::Packet> ServiceEngine::Advance(Session* session,
     SPACETWIST_ASSIGN_OR_RETURN(net::Packet packet,
                                 session->channel->NextPacket());
     session->cached = packet;
-    session->has_cached = true;
     ++session->next_seq;
     return packet;
   }
@@ -329,7 +327,6 @@ Result<net::Packet> ServiceEngine::Advance(Session* session,
   scan.End();
   if (!packet.ok()) return packet;
   session->cached = *packet;
-  session->has_cached = true;
   ++session->next_seq;
   return packet;
 }

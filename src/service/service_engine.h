@@ -80,8 +80,8 @@ struct ServiceOptions {
 ///    encodes that stripe, so the final lookup and the publish share one
 ///    critical section of that stripe's lock.
 ///
-/// Requires the backend's R-tree(s) to be built with
-/// RTreeOptions::concurrent_reads so concurrent traversals are safe.
+/// Concurrent traversals of the backend's R-tree(s) are safe: every
+/// buffer pool locks its own bookkeeping.
 ///
 /// The engine serves whatever server::InnBackend it is given: a single
 /// LbsServer, or a shard::ShardRouter fronting a Hilbert-partitioned fleet
@@ -147,7 +147,6 @@ class ServiceEngine : public net::FrameHandler {
     /// Sequenced-pull state: `next_seq` packets have been served so far;
     /// the most recent one is cached for idempotent retries.
     uint64_t next_seq = 0;
-    bool has_cached = false;
     net::Packet cached;
     /// Distributed-trace state (wire v3): the trace the session belongs to
     /// (from the last sampled request), spans awaiting piggyback on the
@@ -164,10 +163,9 @@ class ServiceEngine : public net::FrameHandler {
 
   struct Shard {
     // Rank: held across a session's stream advance and retirement, so page
-    // fetches, trace-sink offers and a shard router's fan-out log all nest
-    // inside it.
+    // fetches and trace-sink offers nest inside it.
     Mutex mu ACQUIRED_AFTER(lock_order::kEngineFront)
-        ACQUIRED_BEFORE(lock_order::kRouterFanout){
+        ACQUIRED_BEFORE(lock_order::kTraceSink){
             LockRank::kEngineFront, "service.engine.front_stripe"};
     std::unordered_map<uint64_t, Session> sessions GUARDED_BY(mu);
     /// Repeat index: the key of each live session in this stripe — its

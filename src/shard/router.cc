@@ -1,7 +1,5 @@
 #include "shard/router.h"
 
-#include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "common/logging.h"
@@ -15,8 +13,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Build(
   std::unique_ptr<ShardRouter> router(new ShardRouter());
   SPACETWIST_ASSIGN_OR_RETURN(
       HilbertRangePartitioner partitioner,
-      HilbertRangePartitioner::Build(dataset, options.num_shards,
-                                     options.partition));
+      HilbertRangePartitioner::Build(dataset, options.num_shards));
   router->partitioner_.emplace(std::move(partitioner));
 
   router->registry_ = telemetry::MetricRegistry::OrDefault(options.registry);
@@ -25,9 +22,6 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Build(
       router->registry_->GetHistogram("shard.router.query_pulls");
   telemetry::Histogram* occupancy =
       router->registry_->GetHistogram("shard.partition.points");
-
-  rtree::RTreeOptions tree_options = options.rtree;
-  tree_options.concurrent_reads = true;
 
   const size_t n = router->partitioner_->num_shards();
   router->servers_.reserve(n);
@@ -41,7 +35,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Build(
 
     SPACETWIST_ASSIGN_OR_RETURN(
         std::unique_ptr<server::LbsServer> server,
-        server::LbsServer::Build(part.dataset, tree_options,
+        server::LbsServer::Build(part.dataset, options.rtree,
                                  options.serving));
     router->servers_.push_back(std::move(server));
     router->shard_registries_.push_back(
@@ -70,42 +64,14 @@ std::unique_ptr<server::InnSource> ShardRouter::OpenInnSource(
     t.pulls = shard_pull_counters_[i];
     targets.push_back(t);
   }
-  return std::make_unique<ScatterGatherStream>(
-      std::move(targets), anchor, epsilon, k, options,
-      [this](const geom::Point& a, const StreamStats& stats) {
-        RetireStream(a, stats.fanout, stats.shard_pulls);
-      });
+  return std::make_unique<ScatterGatherStream>(std::move(targets), anchor,
+                                               epsilon, k, options,
+                                               fanout_hist_, pulls_hist_);
 }
 
 std::vector<uint8_t> ShardRouter::HandleFrame(
     const std::vector<uint8_t>& request_frame) {
   return front_->HandleFrame(request_frame);
-}
-
-void ShardRouter::RetireStream(const geom::Point& anchor, uint32_t fanout,
-                               uint64_t shard_pulls) {
-  fanout_hist_->Record(fanout);
-  pulls_hist_->Record(shard_pulls);
-  MutexLock lock(&fanout_mu_);
-  QueryFanout& entry = fanout_log_[AnchorKey(anchor)];
-  // A retried query reopens its session: the widest attempt defines the
-  // fan-out, while shard pulls accumulate across attempts.
-  entry.fanout = std::max(entry.fanout, fanout);
-  entry.shard_pulls += shard_pulls;
-}
-
-std::pair<uint64_t, uint64_t> ShardRouter::AnchorKey(
-    const geom::Point& anchor) {
-  return {std::bit_cast<uint64_t>(anchor.x), std::bit_cast<uint64_t>(anchor.y)};
-}
-
-std::optional<QueryFanout> ShardRouter::TakeFanout(const geom::Point& anchor) {
-  MutexLock lock(&fanout_mu_);
-  auto it = fanout_log_.find(AnchorKey(anchor));
-  if (it == fanout_log_.end()) return std::nullopt;
-  QueryFanout result = it->second;
-  fanout_log_.erase(it);
-  return result;
 }
 
 }  // namespace spacetwist::shard

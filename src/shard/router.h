@@ -4,14 +4,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "common/lock_rank.h"
-#include "common/mutex.h"
 #include "common/result.h"
-#include "common/thread_annotations.h"
 #include "datasets/dataset.h"
 #include "geom/point.h"
 #include "net/wire.h"
@@ -29,9 +24,8 @@ struct ShardRouterOptions {
   /// Fleet size. 1 gives a single-shard fleet (useful as a wiring check;
   /// the router overhead is then pure indirection).
   size_t num_shards = 4;
-  HilbertRangePartitioner::Options partition;
-  /// Per-shard R-tree build options; `concurrent_reads` is forced on (many
-  /// queries' shard streams read a shard at once).
+  /// Per-shard R-tree build options (a shard's buffer pool always locks,
+  /// so many queries' shard streams can read one shard at once).
   rtree::RTreeOptions rtree;
   /// Which index each shard serves from (paged R-tree or the in-memory
   /// copy of its pages); the merged output stream is byte-identical either
@@ -42,18 +36,11 @@ struct ShardRouterOptions {
   /// shard.router.* stream counters land next to its fan-out instruments.
   service::ServiceOptions front;
   /// Registry for the router-level instruments — shard.router.fanout,
-  /// shard.<i>.pulls, shard.partition.points (null = process default).
+  /// shard.router.query_pulls, shard.<i>.pulls, shard.partition.points
+  /// (null = process default).
   /// Each shard additionally gets its own private registry
   /// (shard_registry(i)) holding its streams' server.granular.* counters.
   telemetry::MetricRegistry* registry = nullptr;
-};
-
-/// Per-query fan-out numbers, aggregated across a query's (possibly
-/// retried) merged streams: how many distinct shard streams the widest
-/// attempt opened and how many shard packets all attempts pulled.
-struct QueryFanout {
-  uint32_t fanout = 0;
-  uint64_t shard_pulls = 0;
 };
 
 /// Scale-out deployment of the SpaceTwist server (src/shard): the dataset
@@ -68,12 +55,9 @@ struct QueryFanout {
 /// server would have sent.
 ///
 /// Thread safety: Build-time state (partitions, servers, registries) is
-/// immutable afterwards; the fan-out log has its own mutex. Lock order is
-/// front-engine stripe -> fan-out log mutex (a merged stream pulls its
-/// shard streams and retires into the log under its session's stripe);
-/// nothing takes them in reverse. That order is the kEngineFront <
-/// kRouterFanout segment of the global lock-rank table (docs/ANALYSIS.md,
-/// Lock ranks) and is machine-enforced.
+/// immutable afterwards, and the router keeps nothing about a query past
+/// its session: a merged stream records its fan-out and shard pulls into
+/// the router's histograms as it retires, and the router holds no lock.
 class ShardRouter : public net::FrameHandler, public server::InnBackend {
  public:
   /// Partitions `dataset` and builds the fleet. Fails on an unbuildable
@@ -109,30 +93,8 @@ class ShardRouter : public net::FrameHandler, public server::InnBackend {
   }
   telemetry::MetricRegistry* registry() { return registry_; }
 
-  /// Consumes the fan-out record of the query anchored at `anchor`
-  /// (eval's fan-out probe). Empty if no stream for that anchor has
-  /// retired yet — callers probe after the query's session is closed.
-  std::optional<QueryFanout> TakeFanout(const geom::Point& anchor);
-
  private:
   ShardRouter() = default;
-
-  /// Stream-retirement hook: folds one merged stream's stats into the
-  /// fan-out histogram and the per-anchor log.
-  void RetireStream(const geom::Point& anchor, uint32_t fanout,
-                    uint64_t shard_pulls);
-
-  /// Anchors are float32-quantized client coordinates; their exact bit
-  /// patterns key the fan-out log.
-  static std::pair<uint64_t, uint64_t> AnchorKey(const geom::Point& anchor);
-
-  struct PairHash {
-    size_t operator()(const std::pair<uint64_t, uint64_t>& k) const {
-      uint64_t h = k.first * 0x9E3779B97F4A7C15ULL;
-      h ^= k.second + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-      return static_cast<size_t>(h);
-    }
-  };
 
   std::optional<HilbertRangePartitioner> partitioner_;
   std::vector<std::unique_ptr<server::LbsServer>> servers_;
@@ -143,17 +105,9 @@ class ShardRouter : public net::FrameHandler, public server::InnBackend {
   telemetry::Histogram* pulls_hist_ = nullptr;
   std::vector<telemetry::Counter*> shard_pull_counters_;
 
-  // Rank: a retiring merged stream folds into this log while its owning
-  // front stripe is held above it.
-  mutable Mutex fanout_mu_ ACQUIRED_AFTER(lock_order::kRouterFanout)
-      ACQUIRED_BEFORE(lock_order::kTraceSink){LockRank::kRouterFanout,
-                                              "shard.router.fanout"};
-  std::unordered_map<std::pair<uint64_t, uint64_t>, QueryFanout, PairHash>
-      fanout_log_ GUARDED_BY(fanout_mu_);
-
   /// Declared last: destroyed first, so every client session (and with it
   /// every ScatterGatherStream and its shard streams) retires while the
-  /// shard servers, registries and fan-out log are still alive.
+  /// shard servers and registries are still alive.
   std::unique_ptr<service::ServiceEngine> front_;
 };
 

@@ -15,13 +15,16 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 ScatterGatherStream::ScatterGatherStream(
     std::vector<ShardTarget> targets, const geom::Point& anchor,
     double epsilon, size_t k, const server::GranularOptions& options,
-    RetireFn on_retire)
+    telemetry::Histogram* fanout_hist, telemetry::Histogram* query_pulls_hist)
     : anchor_(anchor), epsilon_(epsilon), k_(k),
-      on_retire_(std::move(on_retire)),
       // Same CellFilter (and hence the same lambda, Lemma 2) as the
       // single-server streams.
-      filter_(anchor, epsilon, k, options.lazy_eviction) {
+      filter_(anchor, epsilon, k, options.lazy_eviction),
+      fanout_hist_(fanout_hist),
+      query_pulls_hist_(query_pulls_hist) {
   SPACETWIST_CHECK(!targets.empty());
+  SPACETWIST_CHECK(fanout_hist != nullptr);
+  SPACETWIST_CHECK(query_pulls_hist != nullptr);
   SPACETWIST_CHECK(epsilon >= 0.0);
   SPACETWIST_CHECK(k >= 1);
   shards_.reserve(targets.size());
@@ -44,7 +47,8 @@ ScatterGatherStream::ScatterGatherStream(
 }
 
 ScatterGatherStream::~ScatterGatherStream() {
-  if (on_retire_ != nullptr) on_retire_(anchor_, stats_);
+  fanout_hist_->Record(fanout_);
+  query_pulls_hist_->Record(shard_pulls_);
 }
 
 double ScatterGatherStream::LowerBound(const ShardState& s) const {
@@ -68,7 +72,7 @@ Status ScatterGatherStream::Fill(ShardState* s, size_t shard_index,
     options.registry = s->target.registry;
     s->stream =
         s->target.server->OpenInnSource(anchor_, epsilon_, k_, options);
-    ++stats_.fanout;
+    ++fanout_;
     opens_metric_->Add();
   }
   telemetry::Trace::Span pull =
@@ -88,7 +92,7 @@ Status ScatterGatherStream::Fill(ShardState* s, size_t shard_index,
   pull.Note("node_reads", stream->node_reads() - reads_before);
   pull.Note("points", pulled_.size());
   ++s->next_seq;
-  ++stats_.shard_pulls;
+  ++shard_pulls_;
   pulls_metric_->Add();
   if (s->target.pulls != nullptr) s->target.pulls->Add();
   SPACETWIST_RETURN_NOT_OK(status);
@@ -176,7 +180,6 @@ Status ScatterGatherStream::NextBatch(size_t max_points,
     shards_[best].buffer.pop_front();
     ++merge_pops_;
     if (!PassesCellFilter(head)) continue;
-    last_report_distance_ = head.distance;
     out->push_back(head.point);
   }
   merge_pops_metric_->Add(merge_pops_ - pops_before);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -19,14 +18,6 @@
 #include "telemetry/trace.h"
 
 namespace spacetwist::shard {
-
-/// Per-query fan-out accounting for one merged stream: how many shard
-/// streams the query actually opened (<= N thanks to rectangle pruning and
-/// lazy opening) and how many batches it pulled from them.
-struct StreamStats {
-  uint32_t fanout = 0;
-  uint64_t shard_pulls = 0;
-};
 
 /// The router's k-way merge of per-shard INN streams — the server::InnSource
 /// a ShardRouter hands to its fronting ServiceEngine, so one query against
@@ -80,20 +71,17 @@ class ScatterGatherStream : public server::InnSource {
     telemetry::Counter* pulls = nullptr;        ///< router's shard.<i>.pulls
   };
 
-  /// Invoked exactly once, from the destructor, with the final per-query
-  /// fan-out numbers (the router aggregates them into histograms and the
-  /// per-anchor log behind eval's fan-out leg).
-  using RetireFn = std::function<void(const geom::Point& anchor,
-                                      const StreamStats& stats)>;
-
-  /// Borrows everything in `targets`; `on_retire` may be null.
+  /// Borrows everything in `targets` and the router's
+  /// shard.router.fanout and shard.router.query_pulls histograms.
   ScatterGatherStream(std::vector<ShardTarget> targets,
                       const geom::Point& anchor, double epsilon, size_t k,
                       const server::GranularOptions& options,
-                      RetireFn on_retire);
+                      telemetry::Histogram* fanout_hist,
+                      telemetry::Histogram* query_pulls_hist);
 
-  /// Reports the final StreamStats; the remaining shard streams go with
-  /// the merge.
+  /// Records the query's fan-out (shard streams opened, <= N thanks to
+  /// rectangle pruning and lazy opening) and shard pulls into the router's
+  /// histograms; the remaining shard streams go with the merge.
   ~ScatterGatherStream() override;
 
   ScatterGatherStream(const ScatterGatherStream&) = delete;
@@ -114,12 +102,7 @@ class ScatterGatherStream : public server::InnSource {
   /// Merge steps play the role heap pops play in the single-server stream;
   /// node reads map to shard pulls (the unit of router I/O).
   uint64_t heap_pops() const override { return merge_pops_; }
-  uint64_t node_reads() const override { return stats_.shard_pulls; }
-
-  const geom::Point& anchor() const { return anchor_; }
-  uint32_t fanout() const { return stats_.fanout; }
-  uint64_t shard_pulls() const { return stats_.shard_pulls; }
-  double last_report_distance() const { return last_report_distance_; }
+  uint64_t node_reads() const override { return shard_pulls_; }
 
  private:
   struct ShardState {
@@ -156,18 +139,20 @@ class ScatterGatherStream : public server::InnSource {
   geom::Point anchor_;
   double epsilon_;
   size_t k_;
-  RetireFn on_retire_;
 
   server::CellFilter filter_;
 
   std::vector<rtree::DataPoint> pulled_;  ///< Fill()'s batch scratch
   std::vector<rtree::DataPoint> single_;  ///< Next()'s one-point batch
 
-  StreamStats stats_;
+  uint64_t fanout_ = 0;  ///< shard streams opened
+  uint64_t shard_pulls_ = 0;
   uint64_t merge_pops_ = 0;
-  double last_report_distance_ = 0.0;
   telemetry::Trace* trace_ = nullptr;  ///< borrowed; see set_trace()
 
+  /// The router's per-query histograms, recorded once on retirement.
+  telemetry::Histogram* fanout_hist_;
+  telemetry::Histogram* query_pulls_hist_;
   /// Router-level registry mirrors, aggregated across streams.
   telemetry::Counter* opens_metric_;
   telemetry::Counter* pulls_metric_;

@@ -6,9 +6,9 @@
 
 namespace spacetwist::storage {
 
-BufferPool::BufferPool(Pager* pager, size_t capacity, bool synchronized,
+BufferPool::BufferPool(Pager* pager, size_t capacity,
                        telemetry::MetricRegistry* registry)
-    : pager_(pager), capacity_(capacity), synchronized_(synchronized) {
+    : pager_(pager), capacity_(capacity) {
   SPACETWIST_CHECK(pager != nullptr);
   SPACETWIST_CHECK(capacity >= 1);
   telemetry::MetricRegistry* r = telemetry::MetricRegistry::OrDefault(registry);

@@ -32,10 +32,7 @@ namespace spacetwist::storage {
 /// clang), which lets many sessions traverse the same tree from worker
 /// threads (the serving engine, src/service). The lock covers only the
 /// bookkeeping; page deserialization happens outside it in the callers, and
-/// the uncontended single-threaded cost is a few nanoseconds per fetch. The
-/// `synchronized` constructor flag is kept as caller intent metadata
-/// (RTreeOptions::concurrent_reads) but no longer changes behaviour — the
-/// earlier conditionally-engaged lock was invisible to static analysis.
+/// the uncontended single-threaded cost is a few nanoseconds per fetch.
 class BufferPool {
  public:
   using PageHandle = std::shared_ptr<const Page>;
@@ -44,7 +41,7 @@ class BufferPool {
   /// additionally published to `registry` (null = the process-wide default)
   /// as the storage.buffer_pool.{hits,misses,evictions} counters — the
   /// paper's R-tree node I/O cost metric, aggregated across pools.
-  BufferPool(Pager* pager, size_t capacity, bool synchronized = false,
+  BufferPool(Pager* pager, size_t capacity,
              telemetry::MetricRegistry* registry = nullptr);
 
   BufferPool(const BufferPool&) = delete;
@@ -55,7 +52,6 @@ class BufferPool {
     MutexLock lock(&mu_);
     return map_.size();
   }
-  bool synchronized() const { return synchronized_; }
   /// Snapshot of the I/O counters (consistent even under concurrency).
   IoStats stats() const EXCLUDES(mu_) {
     MutexLock lock(&mu_);
@@ -89,7 +85,6 @@ class BufferPool {
 
   Pager* pager_;
   size_t capacity_;
-  bool synchronized_;
   telemetry::Counter* hits_;
   telemetry::Counter* misses_;
   telemetry::Counter* evictions_;

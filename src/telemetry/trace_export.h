@@ -13,7 +13,7 @@ namespace spacetwist::telemetry {
 /// Identifier of the trace exporter's JSON layout; bumped on incompatible
 /// changes. tools/validate_telemetry_json.py checks trace documents against
 /// this schema (documented in docs/OBSERVABILITY.md).
-inline constexpr std::string_view kTraceSchema = "spacetwist.trace.v1";
+inline constexpr std::string_view kTraceSchema = "spacetwist.trace.v2";
 
 /// Emits `"displayTimeUnit"` and the Chrome-`trace_event` `"traceEvents"`
 /// array for `traces` into an already-open object scope of `writer` — how

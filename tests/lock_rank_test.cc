@@ -3,6 +3,11 @@
 // rank-ascending nesting and abort — naming both locks — on an inversion.
 // The rest of the suite exercises the real serving-stack orderings; this
 // file pins the enforcer's own semantics with synthetic mutexes.
+//
+// The non-death tests give their mutexes static storage: stack mutexes of
+// consecutive tests would share addresses, and ThreadSanitizer, which never
+// learns that the earlier ones died, would chain two tests' lock orders
+// into a false inversion.
 
 #include "common/mutex.h"
 
@@ -17,17 +22,17 @@ namespace {
 #ifdef SPACETWIST_LOCK_RANK_CHECKS
 
 TEST(LockRankTest, AscendingNestingIsAllowed) {
-  Mutex outer(LockRank::kEngineFront, "test.outer");
-  Mutex inner(LockRank::kTraceSink, "test.inner");
-  Mutex innermost(LockRank::kMetricRegistry, "test.innermost");
+  static Mutex outer(LockRank::kEngineFront, "test.outer");
+  static Mutex inner(LockRank::kTraceSink, "test.inner");
+  static Mutex innermost(LockRank::kMetricRegistry, "test.innermost");
   MutexLock a(&outer);
   MutexLock b(&inner);
   MutexLock c(&innermost);
 }
 
 TEST(LockRankTest, ReacquireAfterReleaseIsAllowed) {
-  Mutex high(LockRank::kTraceSink, "test.high");
-  Mutex low(LockRank::kThreadPool, "test.low");
+  static Mutex high(LockRank::kTraceSink, "test.high");
+  static Mutex low(LockRank::kThreadPool, "test.low");
   {
     MutexLock lock(&high);
   }
@@ -39,8 +44,8 @@ TEST(LockRankTest, ReacquireAfterReleaseIsAllowed) {
 
 TEST(LockRankTest, SkippingLevelsIsAllowed) {
   // Ranks must strictly increase, not be adjacent.
-  Mutex outer(LockRank::kFaultyTransport, "test.outermost");
-  Mutex inner(LockRank::kMetricRegistry, "test.innermost");
+  static Mutex outer(LockRank::kFaultyTransport, "test.outermost");
+  static Mutex inner(LockRank::kMetricRegistry, "test.innermost");
   MutexLock a(&outer);
   MutexLock b(&inner);
 }
@@ -74,7 +79,7 @@ TEST(LockRankDeathTest, EqualRankAborts) {
 }
 
 TEST(LockRankDeathTest, SuccessfulTryLockCountsAsHeld) {
-  Mutex high(LockRank::kRouterFanout, "test.fanout");
+  Mutex high(LockRank::kTraceSink, "test.sink");
   Mutex low(LockRank::kEngineFront, "test.front");
   EXPECT_DEATH(
       {
@@ -83,12 +88,12 @@ TEST(LockRankDeathTest, SuccessfulTryLockCountsAsHeld) {
         }
       },
       "lock-rank violation: acquiring \"test\\.front\".*"
-      "while holding \"test\\.fanout\"");
+      "while holding \"test\\.sink\"");
 }
 
 TEST(LockRankTest, FailedTryLockLeavesTheStackUntouched) {
-  Mutex contended(LockRank::kTraceSink, "test.contended");
-  Mutex low(LockRank::kThreadPool, "test.low_after_try");
+  static Mutex contended(LockRank::kTraceSink, "test.contended");
+  static Mutex low(LockRank::kThreadPool, "test.low_after_try");
   std::atomic<bool> held{false};
   std::atomic<bool> release{false};
   std::thread holder([&] {
@@ -109,8 +114,8 @@ TEST(LockRankTest, FailedTryLockLeavesTheStackUntouched) {
 }
 
 TEST(LockRankTest, CondVarWaitReleasesAndReacquiresTheRank) {
-  Mutex mu(LockRank::kEngineFront, "test.cv_mu");
-  Mutex higher(LockRank::kTraceSink, "test.cv_higher");
+  static Mutex mu(LockRank::kEngineFront, "test.cv_mu");
+  static Mutex higher(LockRank::kTraceSink, "test.cv_higher");
   CondVar cv;
   std::atomic<bool> woke{false};
   bool go = false;

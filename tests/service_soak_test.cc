@@ -21,12 +21,13 @@ namespace {
 
 /// Concurrency soak for ServiceEngine's wire path: many client threads
 /// send Open, Pull and Close frames against a deliberately tiny session cap
-/// while idle-TTL eviction (driven by an injectable virtual clock) races
-/// them. Some Open frames are resent verbatim, so the repeat index and the
-/// first pull outside the stripe lock race the sweeps as well. Runs under
-/// the TSan CI job; the assertions here are the *accounting invariants*
-/// that must survive any interleaving — kNotFound from a racing eviction is
-/// legal, lost sessions or corrupted counters are not.
+/// while idle-TTL eviction (on an injectable virtual clock the workers
+/// advance) races them. Some Open frames are resent verbatim, so the repeat
+/// index and the first pull outside the stripe lock race the sweeps as
+/// well. Runs under the TSan CI job; the assertions here are the
+/// *accounting invariants* that must survive any interleaving — kNotFound
+/// from a racing eviction is legal, lost sessions or corrupted counters are
+/// not.
 
 class ServiceSoakTest : public ::testing::Test {
  protected:
@@ -79,6 +80,10 @@ TEST_F(ServiceSoakTest, OpenPullCloseChurnRacingTtlEviction) {
 
   constexpr size_t kThreads = 8;
   constexpr int kIterations = 300;
+  // Virtual time moves only with the workers' own steps, never with the
+  // evictor's spins, so how far sessions age between a worker's requests
+  // does not depend on how the scheduler paces the threads.
+  constexpr uint64_t kStepNs = 250;
 
   std::atomic<bool> stop_evictor{false};
   std::atomic<uint64_t> protocol_violations{0};
@@ -93,7 +98,6 @@ TEST_F(ServiceSoakTest, OpenPullCloseChurnRacingTtlEviction) {
 
   std::thread evictor([&] {
     while (!stop_evictor.load(std::memory_order_relaxed)) {
-      clock_ns.Advance(1'500);
       engine.EvictIdle();
       std::this_thread::yield();
     }
@@ -105,6 +109,7 @@ TEST_F(ServiceSoakTest, OpenPullCloseChurnRacingTtlEviction) {
     workers.emplace_back([&, t] {
       Rng rng(1000 + t);
       for (int iter = 0; iter < kIterations; ++iter) {
+        clock_ns.Advance(kStepNs);
         if (rng.Bernoulli(0.1)) {
           std::vector<uint8_t> garbage(
               static_cast<size_t>(rng.UniformInt(0, 32)));

@@ -90,6 +90,39 @@ size_t MaxPointsPerSideOfASplitCell(const ShardRouter& router, double epsilon) {
   return best;
 }
 
+/// What one query added to the router's shard.router.fanout and
+/// shard.router.query_pulls histograms: every merged stream records its
+/// fan-out and shard pulls there as it retires, so a query run alone on a
+/// fault-free link, with its session closed, grew each by one record.
+struct RetiredQuery {
+  uint64_t fanout = 0;
+  uint64_t shard_pulls = 0;
+};
+
+class HistogramGrowth {
+ public:
+  explicit HistogramGrowth(ShardRouter* router)
+      : fanout_(router->registry()->GetHistogram("shard.router.fanout")),
+        pulls_(router->registry()->GetHistogram("shard.router.query_pulls")),
+        fanout_before_(fanout_->Snapshot()),
+        pulls_before_(pulls_->Snapshot()) {}
+
+  /// The one record added since construction.
+  RetiredQuery Take() const {
+    const telemetry::HistogramSnapshot fanout = fanout_->Snapshot();
+    const telemetry::HistogramSnapshot pulls = pulls_->Snapshot();
+    EXPECT_EQ(fanout.count, fanout_before_.count + 1);
+    EXPECT_EQ(pulls.count, pulls_before_.count + 1);
+    return {fanout.sum - fanout_before_.sum, pulls.sum - pulls_before_.sum};
+  }
+
+ private:
+  const telemetry::Histogram* fanout_;
+  const telemetry::Histogram* pulls_;
+  telemetry::HistogramSnapshot fanout_before_;
+  telemetry::HistogramSnapshot pulls_before_;
+};
+
 /// The router's merged stream against the single server's granular stream,
 /// point for point — every rank, including exact INN and through
 /// exhaustion.
@@ -288,12 +321,12 @@ TEST(ShardRouterFanoutTest, FanoutBoundedBySupplyDiskIntersections) {
       dataset.domain, params, 24, 2, /*seed=*/4242);
   size_t checked = 0;
   for (const eval::Arrival& a : schedule.arrivals) {
+    const HistogramGrowth growth(router.get());
     auto outcome = service::RemoteQuery(router.get(), a.q, a.anchor, params);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    auto fanout = router->TakeFanout(a.anchor);
-    ASSERT_TRUE(fanout.has_value());
-    EXPECT_GE(fanout->fanout, 1u);
-    EXPECT_GE(fanout->shard_pulls, fanout->fanout);
+    const RetiredQuery fanout = growth.Take();
+    EXPECT_GE(fanout.fanout, 1u);
+    EXPECT_GE(fanout.shard_pulls, fanout.fanout);
     if (outcome->stream_exhausted) continue;
     size_t reachable = 0;
     for (size_t i = 0; i < router->num_shards(); ++i) {
@@ -303,7 +336,7 @@ TEST(ShardRouterFanoutTest, FanoutBoundedBySupplyDiskIntersections) {
         ++reachable;
       }
     }
-    EXPECT_LE(fanout->fanout, reachable)
+    EXPECT_LE(fanout.fanout, reachable)
         << "client " << a.user << " tau " << outcome->tau;
     ++checked;
   }
@@ -327,12 +360,12 @@ TEST(ShardRouterFanoutTest, DefaultBetaFanoutPinnedAndSubLinear) {
   uint64_t total_pulls = 0;
   uint64_t queries = 0;
   for (const eval::Arrival& a : schedule.arrivals) {
+    const HistogramGrowth growth(router.get());
     auto outcome = service::RemoteQuery(router.get(), a.q, a.anchor, params);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    auto fanout = router->TakeFanout(a.anchor);
-    ASSERT_TRUE(fanout.has_value());
-    total_fanout += fanout->fanout;
-    total_pulls += fanout->shard_pulls;
+    const RetiredQuery fanout = growth.Take();
+    total_fanout += fanout.fanout;
+    total_pulls += fanout.shard_pulls;
     ++queries;
   }
   EXPECT_EQ(queries, 32u);
@@ -528,35 +561,6 @@ TEST(ShardRouterLifetimeTest, LiveQueryKeepsIdleShardStreams) {
   EXPECT_EQ(rank, 4400u);
   const net::Response closed = send(net::CloseRequest{id});
   EXPECT_NE(std::get_if<net::CloseOk>(&closed), nullptr);
-}
-
-/// The eval fan-out probe: tradeoff records carry the fan-out leg when the
-/// load generator runs against a sharded backend.
-TEST(ShardRouterTelemetryTest, LoadGeneratorFanoutProbe) {
-  const datasets::Dataset dataset = TestDataset(2500, 907);
-  telemetry::MetricRegistry registry;
-  auto router = BuildRouter(dataset, 4, &registry);
-  eval::LoadOptions load;
-  load.params.k = 2;
-  ShardRouter* raw = router.get();
-  load.fanout_probe = [raw](const geom::Point& anchor,
-                            eval::TradeoffRecord* record) {
-    if (auto fanout = raw->TakeFanout(anchor)) {
-      record->fanout = fanout->fanout;
-      record->shard_pulls = fanout->shard_pulls;
-    }
-  };
-  auto report = eval::RunLoad(
-      router->front(),
-      eval::BuildClosedLoopWorkload(dataset.domain, load.params, 6, 2, 4242),
-      load);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_EQ(report->tradeoffs.size(), 12u);
-  for (const eval::TradeoffRecord& rec : report->tradeoffs) {
-    EXPECT_GE(rec.fanout, 1u);
-    EXPECT_LE(rec.fanout, 4u);
-    EXPECT_GE(rec.shard_pulls, rec.fanout);
-  }
 }
 
 }  // namespace

@@ -24,7 +24,7 @@ JsonValue MustParse(std::string_view text) {
 // server.dispatch [130, 360] (queue delay 30), plus a second lane whose
 // dispatch has no enclosing client span (unmatched).
 constexpr std::string_view kTraceDoc = R"({
-  "schema": "spacetwist.trace.v1",
+  "schema": "spacetwist.trace.v2",
   "traceEvents": [
     {"name": "wire.pull", "ph": "X", "ts": 100.0, "dur": 300.0,
      "pid": 1, "tid": 1},
@@ -72,7 +72,7 @@ TEST(TimeSeriesDocument, SchemaDetection) {
   EXPECT_TRUE(IsTimeSeriesDocument(
       MustParse(R"({"schema": "spacetwist.timeseries.v1"})")));
   EXPECT_FALSE(IsTimeSeriesDocument(
-      MustParse(R"({"schema": "spacetwist.trace.v1"})")));
+      MustParse(R"({"schema": "spacetwist.trace.v2"})")));
   EXPECT_FALSE(IsTimeSeriesDocument(MustParse("[]")));
   // The cli-side literal must track the exporter's schema tag.
   EXPECT_EQ(std::string(telemetry::kTimeSeriesSchema),

@@ -777,14 +777,6 @@ Status RunServeBench(const Flags& flags) {
     router_options.front.max_sessions = static_cast<size_t>(clients) * 2;
     SPACETWIST_ASSIGN_OR_RETURN(
         router, shard::ShardRouter::Build(ds, router_options));
-    shard::ShardRouter* rt = router.get();
-    load.fanout_probe = [rt](const geom::Point& anchor,
-                             eval::TradeoffRecord* record) {
-      if (auto fanout = rt->TakeFanout(anchor)) {
-        record->fanout = fanout->fanout;
-        record->shard_pulls = fanout->shard_pulls;
-      }
-    };
   }
 
   // Periodic /statsz sampling: a poller thread drives a windowed collector

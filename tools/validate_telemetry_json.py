@@ -11,7 +11,7 @@ Checks every document passed on the command line:
   (including the standalone distributions in BENCH_latency.json) must carry
   the required keys, [lo, hi, count) bucket triples in ascending order,
   bucket counts summing to `count`, and monotone p50 <= p95 <= p99;
-* spacetwist.trace.v1 — a distributed-trace document (BENCH_trace.json,
+* spacetwist.trace.v2 — a distributed-trace document (BENCH_trace.json,
   `spacetwist_cli serve-bench --trace`) must be a well-formed
   Chrome-trace_event export: a traceEvents array of ph:"X"/"M"/"i" events
   with name/ts/pid/tid, non-negative dur on complete events, process_name
@@ -23,7 +23,11 @@ Checks every document passed on the command line:
   arrays sized to the declared shard count, alongside the usual embedded
   telemetry section; summed over fleet sizes, per_shard_pulls[i] must
   equal the embedded shard.<i>.pulls counter, and the grand total
-  shard.router.shard_pulls;
+  shard.router.shard_pulls; the fan-out columns must agree with the
+  embedded shard.router.fanout histogram (one record per query: its count
+  is fleets x clients x queries_per_client, its sum the fleets' mean_fanout
+  times their queries to within the columns' rounding, its max the largest
+  max_fanout);
 * spacetwist.memidx.v1 — a serving-backend comparison (bench_memidx's
   BENCH_latency.json) must carry one result per backend including both
   "paged" and "memidx", each with a positive ns_per_query, digest_match
@@ -71,7 +75,7 @@ import re
 import sys
 
 SCHEMA = "spacetwist.telemetry.v1"
-TRACE_SCHEMA = "spacetwist.trace.v1"
+TRACE_SCHEMA = "spacetwist.trace.v2"
 SHARD_SCHEMA = "spacetwist.shard.v1"
 MEMIDX_SCHEMA = "spacetwist.memidx.v1"
 OPENLOOP_SCHEMA = "spacetwist.openloop.v1"
@@ -102,8 +106,6 @@ TRADEOFF_FIELDS = {
     "downlink_bytes": "uint",
     "uplink_bytes": "uint",
     "latency_ns": "uint",
-    "fanout": "uint",
-    "shard_pulls": "uint",
     "attempts": "uint",
     "retries": "uint",
     "reopens": "uint",
@@ -248,7 +250,7 @@ def validate_tradeoff(record, path):
 
 
 def validate_trace_document(document, path):
-    """A spacetwist.trace.v1 export (docs/OBSERVABILITY.md trace schema)."""
+    """A spacetwist.trace.v2 export (docs/OBSERVABILITY.md trace schema)."""
     if document.get("displayTimeUnit") != "ns":
         error(path, "trace document needs displayTimeUnit \"ns\"")
     events = document.get("traceEvents")
@@ -277,10 +279,11 @@ def validate_shard_document(document, path):
     results whose digests matched the single server, whose fan-out stays
     within (and, beyond one shard, strictly below) the fleet size, and whose
     per-shard arrays match the declared shard count. Every fleet of a run
-    counts into the same router counters, so per_shard_pulls — each fleet's
-    delta of shard.<i>.pulls — must sum over the fleets to the embedded
-    counters. The embedded telemetry section itself is validated by the
-    caller's walk.
+    counts into the same router instruments, so per_shard_pulls — each
+    fleet's delta of shard.<i>.pulls — must sum over the fleets to the
+    embedded counters, and the fan-out columns — each fleet's growth of
+    shard.router.fanout — must sum to the embedded histogram. The embedded
+    telemetry section itself is validated by the caller's walk.
     """
     results = document.get("results")
     if not isinstance(results, list) or not results:
@@ -321,6 +324,7 @@ def validate_shard_document(document, path):
                 error(entry_path,
                       f"{key} must be a list of {shards} non-negative ints")
     validate_shard_pull_totals(document, results, path)
+    validate_shard_fanout_totals(document, results, path)
 
 
 def validate_shard_pull_totals(document, results, path):
@@ -353,6 +357,47 @@ def validate_shard_pull_totals(document, results, path):
         error(path, f"per_shard_pulls total {total} differs from the "
               f"embedded shard.router.shard_pulls counter "
               f"{counters.get('shard.router.shard_pulls')}")
+
+
+def validate_shard_fanout_totals(document, results, path):
+    """mean_fanout and max_fanout against the embedded shard.router.fanout
+    histogram, which every merged stream records its fan-out into as it
+    retires (skipped when a column or the snapshot is malformed: those are
+    reported elsewhere). Each fleet runs clients x queries_per_client
+    fault-free queries, one merged stream each; mean_fanout is printed to
+    three decimals, so each fleet's mean x queries may sit up to 0.0005 x
+    queries from its share of the sum."""
+    clients = document.get("clients")
+    per_client = document.get("queries_per_client")
+    if not is_int(clients) or not is_int(per_client):
+        error(path, "clients and queries_per_client must be integers")
+        return
+    queries = clients * per_client
+    if not all(isinstance(entry, dict)
+               and is_number(entry.get("mean_fanout"))
+               and is_int(entry.get("max_fanout")) for entry in results):
+        return
+    telemetry = document.get("telemetry")
+    histograms = (telemetry.get("histograms") if isinstance(telemetry, dict)
+                  else None)
+    fanout = (histograms.get("shard.router.fanout")
+              if isinstance(histograms, dict) else None)
+    if not isinstance(fanout, dict) or not all(
+            is_int(fanout.get(key)) for key in ("count", "sum", "max")):
+        error(path, "embedded telemetry has no shard.router.fanout histogram")
+        return
+    if fanout["count"] != len(results) * queries:
+        error(path, f"shard.router.fanout count {fanout['count']} is not "
+              f"{len(results)} fleets x {queries} queries")
+    expected = sum(entry["mean_fanout"] * queries for entry in results)
+    if abs(expected - fanout["sum"]) > 0.0005 * queries * len(results):
+        error(path, f"mean_fanout x queries sums to {expected:.1f} over the "
+              f"fleets, but the embedded shard.router.fanout sum is "
+              f"{fanout['sum']}")
+    widest = max(entry["max_fanout"] for entry in results)
+    if widest != fanout["max"]:
+        error(path, f"largest max_fanout {widest} differs from the embedded "
+              f"shard.router.fanout max {fanout['max']}")
 
 
 def validate_memidx_document(document, path):

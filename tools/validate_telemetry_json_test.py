@@ -36,7 +36,7 @@ GOOD_TELEMETRY = {
 }
 
 GOOD_TRACE = {
-    "schema": "spacetwist.trace.v1",
+    "schema": "spacetwist.trace.v2",
     "displayTimeUnit": "ns",
     "traceEvents": [
         {"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "ts": 0,
@@ -59,7 +59,7 @@ GOOD_TRACE = {
         "epsilon": 200.0, "achieved_error": 0.0, "error_evaluated": 1,
         "reported_kth_distance": 120.5, "result_count": 1, "packets": 1,
         "points": 60, "downlink_bytes": 520, "uplink_bytes": 120,
-        "latency_ns": 5000, "fanout": 2, "shard_pulls": 3, "attempts": 1,
+        "latency_ns": 5000, "attempts": 1,
         "retries": 0, "reopens": 0, "stale_replies": 0, "backoff_ns": 0,
     }],
 }
@@ -78,11 +78,19 @@ GOOD_SHARD = {
          "per_shard_pulls": [1300, 1200, 1400, 1381],
          "shard_points": [125000, 125000, 125000, 125000]},
     ],
-    # Both fleets count into one registry: shard.0.pulls = 5047 + 1300.
+    # Both fleets count into one registry: shard.0.pulls = 5047 + 1300,
+    # and shard.router.fanout holds one record per query of both fleets:
+    # 8192 x 1.0 + 8192 x 1.34 = 19169.28 against a sum of 19169.
     "telemetry": dict(copy.deepcopy(GOOD_TELEMETRY), counters={
         "net.packets": 24, "shard.0.pulls": 6347, "shard.1.pulls": 1200,
         "shard.2.pulls": 1400, "shard.3.pulls": 1381,
-        "shard.router.shard_pulls": 10328}),
+        "shard.router.shard_pulls": 10328}, histograms={
+        "shard.router.fanout": {
+            "count": 16384, "sum": 19169, "min": 1, "max": 4,
+            "mean": 1.17, "p50": 1.5, "p95": 2.5, "p99": 3.5,
+            "buckets": [[1, 2, 13999], [2, 3, 2085], [3, 4, 200],
+                        [4, 5, 100]],
+        }}),
 }
 
 GOOD_MEMIDX = {
@@ -286,7 +294,7 @@ def main():
                .__setitem__("p50", 99.0)),
         "percentiles not monotone")
 
-    # --- trace.v1 negatives ----------------------------------------------
+    # --- trace.v2 negatives ----------------------------------------------
     expect_error(
         "missing traceEvents",
         broken(GOOD_TRACE, lambda d: d.pop("traceEvents")),
@@ -342,9 +350,14 @@ def main():
                    "error_evaluated", 2)),
         "0 or 1")
     expect_error(
-        "trade-off missing fanout",
-        broken(GOOD_TRACE, lambda d: d["tradeoffs"][0].pop("fanout")),
-        "missing fanout")
+        "trade-off missing backoff",
+        broken(GOOD_TRACE, lambda d: d["tradeoffs"][0].pop("backoff_ns")),
+        "missing backoff_ns")
+    expect_error(
+        "superseded trace schema",
+        broken(GOOD_TRACE,
+               lambda d: d.__setitem__("schema", "spacetwist.trace.v1")),
+        "no telemetry section")
 
     # --- shard.v1 negatives ----------------------------------------------
     expect_ok("good shard document", GOOD_SHARD)
@@ -400,6 +413,27 @@ def main():
                lambda d: d["telemetry"]["counters"]
                .__setitem__("shard.router.shard_pulls", 10329)),
         "shard.router.shard_pulls counter 10329")
+    expect_error(
+        "shard mean fanout disagrees with the fanout histogram",
+        broken(GOOD_SHARD,
+               lambda d: d["results"][1].__setitem__("mean_fanout", 1.35)),
+        "shard.router.fanout sum is 19169")
+    expect_error(
+        "shard max fanout disagrees with the fanout histogram",
+        broken(GOOD_SHARD,
+               lambda d: d["results"][1].__setitem__("max_fanout", 3)),
+        "largest max_fanout 3 differs")
+    expect_error(
+        "shard fanout histogram counts other queries",
+        broken(GOOD_SHARD,
+               lambda d: d.__setitem__("queries_per_client", 31)),
+        "shard.router.fanout count 16384")
+    expect_error(
+        "shard fanout histogram missing",
+        broken(GOOD_SHARD,
+               lambda d: d["telemetry"]["histograms"]
+               .pop("shard.router.fanout")),
+        "no shard.router.fanout histogram")
     expect_error(
         "shard missing telemetry snapshot",
         broken(GOOD_SHARD, lambda d: d.pop("telemetry")),
